@@ -1,6 +1,6 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// binomial combination tree versus a flat gather-at-root, and the block
-// size of the runtime scheduler. These measure the real code paths (total
+// Ablation benchmarks for the design choices DESIGN.md calls out: how the
+// binomial combination tree scales with world size, and the block size of
+// the runtime scheduler. These measure the real code paths (total
 // CPU work, which on any machine bounds the wall time).
 package smart_test
 
@@ -17,7 +17,7 @@ import (
 
 // runCombineWorld executes one distributed histogram run over `ranks`
 // in-process ranks and returns only when every rank finished.
-func runCombineWorld(b *testing.B, ranks int, flat bool, data []float64) {
+func runCombineWorld(b *testing.B, ranks int, data []float64) {
 	b.Helper()
 	comms := mpi.NewWorld(ranks)
 	per := len(data) / ranks
@@ -31,7 +31,6 @@ func runCombineWorld(b *testing.B, ranks int, flat bool, data []float64) {
 			app := analytics.NewHistogram(-4, 4, 1200)
 			s := core.MustNewScheduler[float64, int64](app, core.SchedArgs{
 				NumThreads: 1, ChunkSize: 1, NumIters: 1, Comm: comms[r],
-				FlatGlobalCombine: flat,
 			})
 			if err := s.Run(data[r*per:(r+1)*per], nil); err != nil {
 				b.Errorf("rank %d: %v", r, err)
@@ -41,10 +40,8 @@ func runCombineWorld(b *testing.B, ranks int, flat bool, data []float64) {
 	wg.Wait()
 }
 
-// BenchmarkAblationGlobalCombine compares the binomial combination tree
-// against the flat gather-at-root merge across world sizes. The tree's
-// advantage grows with rank count: the root's merge work is O(log P)
-// instead of O(P).
+// BenchmarkAblationGlobalCombine runs the binomial combination tree across
+// world sizes: the root's merge work grows as O(log P), not O(P).
 func BenchmarkAblationGlobalCombine(b *testing.B) {
 	em, err := sim.NewEmulator(sim.EmulatorConfig{StepElems: 64 * 1024, Seed: 71})
 	if err != nil {
@@ -53,17 +50,11 @@ func BenchmarkAblationGlobalCombine(b *testing.B) {
 	em.Step()
 	data := em.Data()
 	for _, ranks := range []int{4, 16} {
-		for _, flat := range []bool{false, true} {
-			name := fmt.Sprintf("ranks=%d/tree", ranks)
-			if flat {
-				name = fmt.Sprintf("ranks=%d/flat", ranks)
+		b.Run(fmt.Sprintf("ranks=%d/tree", ranks), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runCombineWorld(b, ranks, data)
 			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					runCombineWorld(b, ranks, flat, data)
-				}
-			})
-		}
+		})
 	}
 }
 

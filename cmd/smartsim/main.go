@@ -158,18 +158,25 @@ type pipeline struct {
 	report    func()
 }
 
+// newScheduler builds a scheduler and, under -trace, prints every phase span
+// it emits.
+func newScheduler[In, Out any](app core.Analytics[In, Out], args core.SchedArgs, trace bool) *core.Scheduler[In, Out] {
+	s := core.MustNewScheduler[In, Out](app, args)
+	if trace {
+		s.SubscribeSpans(func(sp obs.Span) {
+			fmt.Printf("    [trace] %-14s %v\n", sp.Name, sp.Dur.Round(time.Microsecond))
+		})
+	}
+	return s
+}
+
 func makeApp(o options, stepElems int) (*pipeline, error) {
 	args := core.SchedArgs{NumThreads: o.threads, ChunkSize: 1, NumIters: 1}
-	if o.trace {
-		args.OnPhase = func(phase string, d time.Duration) {
-			fmt.Printf("    [trace] %-14s %v\n", phase, d.Round(time.Microsecond))
-		}
-	}
 
 	switch o.app {
 	case "histogram":
 		app := analytics.NewHistogram(-10, 130, o.buckets)
-		s := core.MustNewScheduler[float64, int64](app, args)
+		s := newScheduler[float64, int64](app, args, o.trace)
 		acc := make([]int64, o.buckets)
 		step := func(data []float64) error {
 			s.ResetCombinationMap()
@@ -230,7 +237,7 @@ func makeApp(o options, stepElems int) (*pipeline, error) {
 			}
 		}
 		kmArgs.Extra = init
-		s := core.MustNewScheduler[float64, []float64](app, kmArgs)
+		s := newScheduler[float64, []float64](app, kmArgs, o.trace)
 		step := func(data []float64) error {
 			return s.Run(data[:len(data)/dims*dims], nil)
 		}
@@ -249,7 +256,7 @@ func makeApp(o options, stepElems int) (*pipeline, error) {
 
 	case "moments":
 		app := analytics.NewMoments(0, 0)
-		s := core.MustNewScheduler[float64, float64](app, args)
+		s := newScheduler[float64, float64](app, args, o.trace)
 		// Accumulator pattern: a fresh map per step, merged into one
 		// cross-step accumulator (non-iterative apps must not carry
 		// accumulated state through the per-run distribution).
@@ -284,7 +291,7 @@ func makeApp(o options, stepElems int) (*pipeline, error) {
 
 	case "movingavg":
 		app := analytics.NewMovingAverage(o.window, stepElems, 0, true)
-		s := core.MustNewScheduler[float64, float64](app, args)
+		s := newScheduler[float64, float64](app, args, o.trace)
 		out := make([]float64, stepElems)
 		step := func(data []float64) error {
 			s.ResetCombinationMap()
@@ -308,7 +315,7 @@ func makeApp(o options, stepElems int) (*pipeline, error) {
 
 	case "topk":
 		app := analytics.NewTopK(o.k, 0)
-		s := core.MustNewScheduler[float64, float64](app, args)
+		s := newScheduler[float64, float64](app, args, o.trace)
 		step := func(data []float64) error { return s.Run(data, nil) }
 		return &pipeline{
 			analyze:   step,

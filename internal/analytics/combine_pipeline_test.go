@@ -130,16 +130,16 @@ func initCentroidsTest(k, dims int) []float64 {
 	return flat
 }
 
-// TestGlobalCombineModesAgree runs a 4-rank histogram three ways — flat
-// gather ablation, single-segment streamed tree, and the default sharded
-// streamed tree — and demands identical outputs and identical encoded global
-// maps on every rank.
+// TestGlobalCombineModesAgree runs a 4-rank histogram through the streamed
+// tree with one segment (the serial reference), the default shard count, and
+// an odd shard count, and demands identical outputs and identical encoded
+// global maps on every rank.
 func TestGlobalCombineModesAgree(t *testing.T) {
 	const ranks = 4
 	const n = 4000
 	full := synth(n, func(i int) float64 { return float64((i*31)%200)/10 - 10 })
 
-	run := func(flat bool, shards int) ([][]int64, [][]byte) {
+	run := func(shards int) ([][]int64, [][]byte) {
 		comms := mpi.NewWorld(ranks)
 		outs := make([][]int64, ranks)
 		encs := make([][]byte, ranks)
@@ -152,8 +152,7 @@ func TestGlobalCombineModesAgree(t *testing.T) {
 				defer wg.Done()
 				defer comms[r].Close()
 				s, err := core.NewScheduler[float64, int64](NewHistogram(-10, 10, 64), core.SchedArgs{
-					NumThreads: 2, ChunkSize: 1, Comm: comms[r],
-					FlatGlobalCombine: flat, CombineShards: shards,
+					NumThreads: 2, ChunkSize: 1, Comm: comms[r], CombineShards: shards,
 				})
 				if err != nil {
 					t.Error(err)
@@ -174,25 +173,16 @@ func TestGlobalCombineModesAgree(t *testing.T) {
 		return outs, encs
 	}
 
-	refOuts, refEncs := run(true, 1) // flat ablation is the baseline
-	modes := []struct {
-		name   string
-		flat   bool
-		shards int
-	}{
-		{"tree-one-shard", false, 1},
-		{"tree-sharded", false, 0},
-		{"tree-odd-shards", false, 5},
-	}
-	for _, m := range modes {
-		outs, encs := run(m.flat, m.shards)
+	refOuts, refEncs := run(1)
+	for _, shards := range []int{0, 5} {
+		outs, encs := run(shards)
 		for r := 0; r < ranks; r++ {
 			if !bytes.Equal(encs[r], refEncs[0]) {
-				t.Errorf("%s: rank %d encoded map differs from flat baseline", m.name, r)
+				t.Errorf("CombineShards=%d: rank %d encoded map differs from rank 0 of the serial reference", shards, r)
 			}
 			for b := range refOuts[0] {
 				if outs[r][b] != refOuts[0][b] {
-					t.Errorf("%s: rank %d bucket %d = %d, want %d", m.name, r, b, outs[r][b], refOuts[0][b])
+					t.Errorf("CombineShards=%d: rank %d bucket %d = %d, want %d", shards, r, b, outs[r][b], refOuts[0][b])
 				}
 			}
 		}
@@ -201,64 +191,61 @@ func TestGlobalCombineModesAgree(t *testing.T) {
 
 // TestCheckpointFixturesRoundTrip decodes checkpoints written by the
 // pre-shard serializer and re-encodes them bit-for-bit, pinning the wire and
-// checkpoint format across the pipeline refactor. Every fixture round-trips
-// through each reduction-store implementation: a restored scheduler's next
-// checkpoint must be byte-identical no matter which store backs it. The .ck
+// checkpoint format across the pipeline refactor: a restored scheduler's next
+// checkpoint must be byte-identical to the committed fixture. The .ck
 // fixtures are the raw SMARTCK1 format; histogram_seed_block.ck2 is the same
 // histogram state in the SMARTCK2 block-codec format.
 func TestCheckpointFixturesRoundTrip(t *testing.T) {
 	cases := []struct {
 		fixture string
-		load    func(impl string) (func(string) error, func(string) error)
+		load    func() (func(string) error, func(string) error)
 	}{
-		{"histogram_seed.ck", func(impl string) (func(string) error, func(string) error) {
+		{"histogram_seed.ck", func() (func(string) error, func(string) error) {
 			s := core.MustNewScheduler[float64, int64](NewHistogram(-1, 1, 64),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, MapImpl: impl})
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1})
 			return s.ReadCheckpoint, s.WriteCheckpoint
 		}},
-		{"kmeans_seed.ck", func(impl string) (func(string) error, func(string) error) {
+		{"kmeans_seed.ck", func() (func(string) error, func(string) error) {
 			s := core.MustNewScheduler[float64, []float64](NewKMeans(4, 4),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 4, MapImpl: impl})
+				core.SchedArgs{NumThreads: 4, ChunkSize: 4})
 			return s.ReadCheckpoint, s.WriteCheckpoint
 		}},
-		{"moments_seed.ck", func(impl string) (func(string) error, func(string) error) {
+		{"moments_seed.ck", func() (func(string) error, func(string) error) {
 			s := core.MustNewScheduler[float64, float64](NewMoments(100, 0),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, MapImpl: impl})
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1})
 			return s.ReadCheckpoint, s.WriteCheckpoint
 		}},
-		{"histogram_seed_block.ck2", func(impl string) (func(string) error, func(string) error) {
+		{"histogram_seed_block.ck2", func() (func(string) error, func(string) error) {
 			s := core.MustNewScheduler[float64, int64](NewHistogram(-1, 1, 64),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, MapImpl: impl})
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1})
 			return s.ReadCheckpoint, func(path string) error {
 				return s.WriteCheckpointEnc(path, codec.Block)
 			}
 		}},
 	}
 	for _, tc := range cases {
-		for _, impl := range []string{core.MapGo, core.MapArena} {
-			t.Run(tc.fixture+"/"+impl, func(t *testing.T) {
-				src := filepath.Join("testdata", tc.fixture)
-				want, err := os.ReadFile(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				read, write := tc.load(impl)
-				if err := read(src); err != nil {
-					t.Fatalf("committed fixture no longer decodes: %v", err)
-				}
-				dst := filepath.Join(t.TempDir(), "roundtrip.ck")
-				if err := write(dst); err != nil {
-					t.Fatal(err)
-				}
-				got, err := os.ReadFile(dst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("round trip not bit-identical: %d bytes in, %d bytes out", len(want), len(got))
-				}
-			})
-		}
+		t.Run(tc.fixture, func(t *testing.T) {
+			src := filepath.Join("testdata", tc.fixture)
+			want, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read, write := tc.load()
+			if err := read(src); err != nil {
+				t.Fatalf("committed fixture no longer decodes: %v", err)
+			}
+			dst := filepath.Join(t.TempDir(), "roundtrip.ck")
+			if err := write(dst); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round trip not bit-identical: %d bytes in, %d bytes out", len(want), len(got))
+			}
+		})
 	}
 }
 

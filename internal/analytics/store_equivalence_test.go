@@ -10,17 +10,17 @@ import (
 )
 
 // TestStoreByteIdentical is the cross-application equivalence test for the
-// reduction-store implementations: for each of the paper's nine applications,
-// under each execution engine, the gomap baseline and the arena store must
-// produce byte-identical EncodeCombinationMap output.
+// reduction store: for each of the paper's nine applications, under each
+// execution engine with four threads and four combine shards, the store must
+// produce the EncodeCombinationMap bytes of the serial pipeline (static
+// engine, one shard, one thread).
 //
-// The same grouping argument as TestEngineByteIdentical applies — the store
-// never changes which partial results merge or in what order, only how they
-// are laid out — but the stealing engine's steal pattern is timing-dependent,
-// so two independent runs may group differently. Every case therefore uses
-// the exact-arithmetic configurations of the engine test (any grouping yields
-// the same bits); kde and savgol, which cannot be made exact, run their
-// stealing side in Sequential mode exactly as the engine test does.
+// The stealing engine's steal pattern is timing-dependent, and four threads
+// group partial results differently from one, so every case uses the
+// exact-arithmetic configurations of the engine test (any grouping yields the
+// same bits). kde and savgol cannot be made exact: their reference keeps the
+// four threads' split grouping, and their stealing side runs in Sequential
+// mode exactly as the engine test does.
 func TestStoreByteIdentical(t *testing.T) {
 	const n = 6000
 	vals := synth(n, func(i int) float64 { return float64((i*37)%200)/10 - 10 })
@@ -34,9 +34,9 @@ func TestStoreByteIdentical(t *testing.T) {
 	})
 
 	cases := []struct {
-		name        string
-		seqStealing bool
-		encode      func(t *testing.T, a core.SchedArgs) []byte
+		name    string
+		inexact bool
+		encode  func(t *testing.T, a core.SchedArgs) []byte
 	}{
 		{"histogram", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
@@ -81,17 +81,19 @@ func TestStoreByteIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			refThreads := 1
+			if tc.inexact {
+				refThreads = 4
+			}
+			ref := tc.encode(t, core.SchedArgs{NumThreads: refThreads, CombineShards: 1})
+			if len(ref) <= 4 {
+				t.Fatal("reference combination map is empty — the case tests nothing")
+			}
 			for _, engine := range []string{core.EngineStatic, core.EngineStealing} {
 				args := core.SchedArgs{NumThreads: 4, Engine: engine,
-					Sequential: tc.seqStealing && engine == core.EngineStealing}
-				args.MapImpl = core.MapGo
-				ref := tc.encode(t, args)
-				if len(ref) <= 4 {
-					t.Fatal("reference combination map is empty — the case tests nothing")
-				}
-				args.MapImpl = core.MapArena
+					Sequential: tc.inexact && engine == core.EngineStealing}
 				if got := tc.encode(t, args); !bytes.Equal(got, ref) {
-					t.Errorf("engine %s: arena encoding differs from gomap (%d vs %d bytes)",
+					t.Errorf("engine %s: encoding differs from the serial pipeline (%d vs %d bytes)",
 						engine, len(got), len(ref))
 				}
 			}
@@ -100,9 +102,9 @@ func TestStoreByteIdentical(t *testing.T) {
 }
 
 // TestArenaForcedStealMedianByteIdentical repeats the guaranteed-steal
-// determinism test with the arena store: stolen segments then clone-seed
-// through arena slabs and recycle across iterations, and the holistic median
-// must still encode byte-for-byte like the static gomap schedule.
+// determinism test on the arena store: stolen segments clone-seed through
+// arena slabs and recycle across iterations, and the holistic median must
+// still encode byte-for-byte like the static schedule.
 func TestArenaForcedStealMedianByteIdentical(t *testing.T) {
 	const n = 6000
 	vals := synth(n, func(i int) float64 { return float64((i*37)%200)/10 - 10 })
@@ -113,7 +115,7 @@ func TestArenaForcedStealMedianByteIdentical(t *testing.T) {
 		limit:        n / 2,
 	}
 	s := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: 2, ChunkSize: 1, Engine: core.EngineStealing, MapImpl: core.MapArena,
+		NumThreads: 2, ChunkSize: 1, Engine: core.EngineStealing,
 	})
 	out := make([]float64, n)
 	if err := s.Run2(vals, out); err != nil {
@@ -129,57 +131,52 @@ func TestArenaForcedStealMedianByteIdentical(t *testing.T) {
 	ref := runAndEncode[float64](t, NewMovingMedian(25, n, 0, false),
 		core.SchedArgs{NumThreads: 2, ChunkSize: 1}, vals, n, true)
 	if !bytes.Equal(got, ref) {
-		t.Errorf("arena stolen-segment encoding differs from static gomap (%d vs %d bytes)", len(got), len(ref))
+		t.Errorf("stolen-segment encoding differs from the static schedule (%d vs %d bytes)", len(got), len(ref))
 	}
 }
 
 // TestCheckpointStoreEncodePath pins the store-backed checkpoint encode: a
 // scheduler checkpointing right after a Run (store in sync — the encode reads
 // the sharded store) and one checkpointing after a restore (store stale — the
-// encode reads the flat map) must write byte-identical files, under both
-// store implementations.
+// encode reads the flat map) must both write the bytes the serial pipeline
+// (one thread, one shard) checkpoints.
 func TestCheckpointStoreEncodePath(t *testing.T) {
 	const n = 4000
 	vals := synth(n, func(i int) float64 { return float64((i*37)%200)/10 - 10 })
-	var ref []byte
-	for _, impl := range []string{core.MapGo, core.MapArena} {
-		s := core.MustNewScheduler[float64, int64](NewHistogram(-10, 10, 64),
-			core.SchedArgs{NumThreads: 4, ChunkSize: 1, MapImpl: impl})
-		out := make([]int64, 64)
-		if err := s.Run(vals, out); err != nil {
+	// write checkpoints s into a fresh file and returns its path and bytes.
+	write := func(s *core.Scheduler[float64, int64]) (string, []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "run.ck")
+		if err := s.WriteCheckpoint(path); err != nil {
 			t.Fatal(err)
 		}
-		fresh := filepath.Join(t.TempDir(), "fresh.ck")
-		if err := s.WriteCheckpoint(fresh); err != nil {
-			t.Fatal(err)
-		}
-		fb, err := os.ReadFile(fresh)
+		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = fb
-		} else if !bytes.Equal(fb, ref) {
-			t.Fatalf("%s: store-backed checkpoint differs from gomap's", impl)
-		}
-		// Restore marks the store stale; the next write must read the flat
-		// map and still produce the same bytes.
-		r := core.MustNewScheduler[float64, int64](NewHistogram(-10, 10, 64),
-			core.SchedArgs{NumThreads: 4, ChunkSize: 1, MapImpl: impl})
-		if err := r.ReadCheckpoint(fresh); err != nil {
+		return path, b
+	}
+	run := func(args core.SchedArgs) *core.Scheduler[float64, int64] {
+		s := core.MustNewScheduler[float64, int64](NewHistogram(-10, 10, 64), args)
+		if err := s.Run(vals, make([]int64, 64)); err != nil {
 			t.Fatal(err)
 		}
-		stale := filepath.Join(t.TempDir(), "stale.ck")
-		if err := r.WriteCheckpoint(stale); err != nil {
-			t.Fatal(err)
-		}
-		sb, err := os.ReadFile(stale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sb, ref) {
-			t.Fatalf("%s: flat-map checkpoint differs from store-backed one", impl)
-		}
+		return s
+	}
+	_, ref := write(run(core.SchedArgs{NumThreads: 1, ChunkSize: 1, CombineShards: 1}))
+	sharded := core.SchedArgs{NumThreads: 4, ChunkSize: 1}
+	path, got := write(run(sharded))
+	if !bytes.Equal(got, ref) {
+		t.Fatal("store-backed checkpoint differs from the serial pipeline's")
+	}
+	// Restore marks the store stale; the next write must read the flat map
+	// and still produce the same bytes.
+	r := core.MustNewScheduler[float64, int64](NewHistogram(-10, 10, 64), sharded)
+	if err := r.ReadCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := write(r); !bytes.Equal(got, ref) {
+		t.Fatal("flat-map checkpoint differs from the serial pipeline's")
 	}
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // Arena store tuning constants.
 const (
 	// arenaMinTable is the smallest open-addressing table a shard allocates
@@ -46,14 +44,28 @@ type arenaShard struct {
 	probes, lookups int64
 }
 
-// arenaStore is the MapArena redStore: per shard, a Fibonacci-hashed
-// open-addressing index plus a contiguous arena of reduction objects. Against
-// the gomap baseline it removes the per-key map-entry allocation, keeps
-// iteration cache-friendly (two flat arrays instead of bucket chains), reuses
-// all storage across iterations via clear, and — for FixedSizeObj
-// applications — allocates objects in contiguous slabs and clone-seeds with
+// arenaStore is the reduction/combination-map storage layer behind the
+// engine: everything between the scheduler and the bytes — lookup-or-insert
+// on the reduction hot path, the clone-seed of the per-iteration distribution
+// step, the shard-parallel combine-into, per-shard iteration for the
+// canonical serialization, and the flat-view resync at application
+// boundaries.
+//
+// Per shard it keeps a Fibonacci-hashed open-addressing index plus a
+// contiguous arena of reduction objects: no per-key map-entry allocation,
+// cache-friendly iteration (two flat arrays instead of bucket chains), all
+// storage reused across iterations via clear, and — for FixedSizeObj
+// applications — objects allocated in contiguous slabs and clone-seeded with
 // Assign instead of Clone, so the per-iteration distribution step allocates
 // O(keys/slab) instead of O(keys).
+//
+// Keys are partitioned with shardIndex over a shard count every store of one
+// scheduler shares, so shard si of any two stores covers the same key set and
+// the shard-parallel phases stay lock-free. Per-shard state is independent:
+// concurrent calls are allowed as long as no two goroutines touch keys of the
+// same shard (the forShards discipline). Iteration order inside a shard is
+// insertion order, but the pipeline never depends on it: serialization sorts
+// keys and per-key phases are order-independent.
 type arenaStore struct {
 	shards []arenaShard
 	create func() RedObj
@@ -71,6 +83,15 @@ func newArenaStore(nshards int, create func() RedObj) *arenaStore {
 	return a
 }
 
+// shardIndex maps a key to its shard. The multiplicative mix (Fibonacci
+// hashing) spreads the dense sequential keys most applications generate, and
+// the multiply-shift range reduction avoids an integer division on the
+// per-chunk reduction hot path.
+func shardIndex(key, nshards int) int {
+	h := uint64(key) * 0x9E3779B97F4A7C15
+	return int((uint64(uint32(h>>32)) * uint64(nshards)) >> 32)
+}
+
 // hashKey is the in-shard hash. Shard selection consumes the high bits of
 // the same Fibonacci product (shardIndex), so the table index uses the low
 // 32 bits — an odd multiplier is a bijection mod 2^32, so the dense
@@ -79,17 +100,20 @@ func hashKey(key int) uint32 {
 	return uint32(uint64(key) * 0x9E3779B97F4A7C15)
 }
 
+// numShards is the shard count S every store of one scheduler shares.
 func (a *arenaStore) numShards() int { return len(a.shards) }
 
 func (a *arenaStore) shardOf(key int) *arenaShard {
 	return &a.shards[shardIndex(key, len(a.shards))]
 }
 
+// shardLen is the live entry count of one shard (capacity hints).
 func (a *arenaStore) shardLen(si int) int {
 	sh := &a.shards[si]
 	return len(sh.keys) - sh.dead
 }
 
+// size is the total live entry count.
 func (a *arenaStore) size() int {
 	total := 0
 	for i := range a.shards {
@@ -206,6 +230,7 @@ func (a *arenaStore) fresh(sh *arenaShard) RedObj {
 	return obj
 }
 
+// lookup returns the object stored under key.
 func (a *arenaStore) lookup(key int) (RedObj, bool) {
 	sh := a.shardOf(key)
 	if len(sh.index) == 0 {
@@ -218,18 +243,22 @@ func (a *arenaStore) lookup(key int) (RedObj, bool) {
 	return sh.objs[slot], true
 }
 
-func (a *arenaStore) lookupOrCreate(key int) (RedObj, bool) {
+// lookupOrCreate returns the object under key, creating one with the
+// store's factory on first touch; created reports a fresh object.
+func (a *arenaStore) lookupOrCreate(key int) (obj RedObj, created bool) {
 	sh := a.shardOf(key)
 	if len(sh.index) > 0 {
 		if slot, _ := sh.find(key); slot >= 0 {
 			return sh.objs[slot], false
 		}
 	}
-	obj := a.fresh(sh)
+	obj = a.fresh(sh)
 	sh.place(key, obj)
 	return obj, true
 }
 
+// insert stores obj under key, replacing any present object. The store
+// aliases obj; it does not copy.
 func (a *arenaStore) insert(key int, obj RedObj) {
 	sh := a.shardOf(key)
 	if len(sh.index) > 0 {
@@ -241,6 +270,8 @@ func (a *arenaStore) insert(key int, obj RedObj) {
 	sh.place(key, obj)
 }
 
+// insertClone stores a deep copy of src under key — the distribution step's
+// clone-seed — and returns the stored copy for accounting.
 func (a *arenaStore) insertClone(key int, src RedObj) RedObj {
 	if a.proto != nil {
 		if fo, ok := src.(FixedSizeObj); ok {
@@ -265,6 +296,7 @@ func (a *arenaStore) insertClone(key int, src RedObj) RedObj {
 	return c
 }
 
+// remove erases key (early emission).
 func (a *arenaStore) remove(key int) {
 	sh := a.shardOf(key)
 	if len(sh.index) == 0 {
@@ -280,6 +312,7 @@ func (a *arenaStore) remove(key int) {
 	sh.dead++
 }
 
+// clear empties the store, retaining internal capacity for reuse.
 func (a *arenaStore) clear() {
 	for i := range a.shards {
 		sh := &a.shards[i]
@@ -293,6 +326,7 @@ func (a *arenaStore) clear() {
 	}
 }
 
+// reseed replaces the contents with flat's entries (aliased, not cloned).
 func (a *arenaStore) reseed(flat CombMap) {
 	a.clear()
 	for k, obj := range flat {
@@ -300,6 +334,10 @@ func (a *arenaStore) reseed(flat CombMap) {
 	}
 }
 
+// flattenInto rebuilds the flat view in dst, preserving dst's identity
+// (holders of CombinationMap keep seeing current state). dst's capacity is
+// retained across the clear+refill, so steady-state resyncs do not re-grow
+// it.
 func (a *arenaStore) flattenInto(dst CombMap) {
 	clear(dst)
 	for i := range a.shards {
@@ -312,6 +350,8 @@ func (a *arenaStore) flattenInto(dst CombMap) {
 	}
 }
 
+// forEachIn calls fn for every live entry of shard si, in insertion order.
+// fn must not mutate the store.
 func (a *arenaStore) forEachIn(si int, fn func(key int, obj RedObj)) {
 	sh := &a.shards[si]
 	for slot, obj := range sh.objs {
@@ -321,40 +361,11 @@ func (a *arenaStore) forEachIn(si int, fn func(key int, obj RedObj)) {
 	}
 }
 
-func (a *arenaStore) orderedKeys(dst []int) []int {
-	dst = dst[:0]
-	if n := a.size(); cap(dst) < n {
-		dst = make([]int, 0, n)
-	}
-	for i := range a.shards {
-		sh := &a.shards[i]
-		for slot, obj := range sh.objs {
-			if obj != nil {
-				dst = append(dst, sh.keys[slot])
-			}
-		}
-	}
-	sort.Ints(dst)
-	return dst
-}
-
-func (a *arenaStore) orderedShardKeys(si int, dst []int) []int {
-	sh := &a.shards[si]
-	dst = dst[:0]
-	if n := len(sh.keys) - sh.dead; cap(dst) < n {
-		dst = make([]int, 0, n)
-	}
-	for slot, obj := range sh.objs {
-		if obj != nil {
-			dst = append(dst, sh.keys[slot])
-		}
-	}
-	sort.Ints(dst)
-	return dst
-}
-
-func (a *arenaStore) takeStats() redStoreStats {
-	var st redStoreStats
+// takeStats drains the store's counters accumulated since the last call.
+// Counters are maintained per shard without atomics; callers must drain only
+// from the coordinating goroutine, after phase workers joined.
+func (a *arenaStore) takeStats() storeStats {
+	var st storeStats
 	for i := range a.shards {
 		sh := &a.shards[i]
 		st.probes += sh.probes

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestCheckpointRestoreResumesTraining(t *testing.T) {
@@ -177,30 +176,5 @@ func TestCheckpointNoTornFiles(t *testing.T) {
 	// The temporary staging file must not survive a successful publish.
 	if _, err := os.Stat(ck + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("staging file left behind: %v", err)
-	}
-}
-
-func TestOnPhaseHook(t *testing.T) {
-	events := map[string]int{}
-	s := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{
-		NumThreads: 2, ChunkSize: 1, NumIters: 3,
-		OnPhase: func(phase string, d time.Duration) {
-			if d < 0 {
-				t.Errorf("negative duration for %s", phase)
-			}
-			events[phase]++
-		},
-	})
-	if err := s.Run(histInput(500), make([]int64, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if events["reduction"] != 3 || events["local combine"] != 3 {
-		t.Fatalf("per-iteration phases: %v", events)
-	}
-	if events["convert"] != 1 {
-		t.Fatalf("convert events: %v", events)
-	}
-	if events["global combine"] != 0 {
-		t.Fatalf("global combine without a communicator: %v", events)
 	}
 }

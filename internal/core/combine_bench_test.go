@@ -13,106 +13,59 @@ import (
 // overhead, not application arithmetic.
 var benchApp = bucketApp{width: 1}
 
-// buildRedMaps fills one sharded reduction map per thread, every thread
-// holding every key — the worst-case local-combine workload (all keys
-// collide and must merge).
-func buildRedMaps(threads, keys, shards int) []*shardedMap {
-	redMaps := make([]*shardedMap, threads)
+// buildRedMaps fills one reduction store per thread, every thread holding
+// every key — the worst-case local-combine workload (all keys collide and
+// must merge).
+func buildRedMaps(threads, keys, shards int) []*arenaStore {
+	redMaps := make([]*arenaStore, threads)
 	for t := range redMaps {
-		redMaps[t] = newShardedMap(shards)
+		redMaps[t] = newArenaStore(shards, benchApp.NewRedObj)
 		for k := 0; k < keys; k++ {
-			redMaps[t].shardFor(k)[k] = &countObj{n: int64(t + k)}
+			redMaps[t].insert(k, &countObj{n: int64(t + k)})
 		}
 	}
 	return redMaps
 }
 
-// BenchmarkLocalCombine compares the pre-refactor serial local combine (one
-// goroutine walking every thread's whole reduction map) against the
+// BenchmarkLocalCombine compares the serial local combine (one shard, so one
+// goroutine walks every thread's whole reduction store) against the
 // shard-parallel pipeline at the same thread counts.
 func BenchmarkLocalCombine(b *testing.B) {
 	const keys = 16384
 	for _, threads := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("threads=%d/serial", threads), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				redMaps := buildRedMaps(threads, keys, 1)
-				com := make(CombMap, keys)
-				b.StartTimer()
-				for t := range redMaps {
-					for k, obj := range redMaps[t].shards[0] {
-						if dst, ok := com[k]; ok {
-							benchApp.Merge(obj, dst)
-						} else {
-							com[k] = obj
-						}
-					}
-				}
+		for _, mode := range []string{"serial", "sharded"} {
+			shards := threads
+			if mode == "serial" {
+				shards = 1
 			}
-		})
-		b.Run(fmt.Sprintf("threads=%d/sharded", threads), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				redMaps := buildRedMaps(threads, keys, threads)
-				com := newShardedMap(threads)
-				// Pre-size like the serial baseline's make(CombMap, keys):
-				// both modes then measure merging, not map growth.
-				for si := range com.shards {
-					com.shards[si] = make(CombMap, keys/threads+1)
-				}
-				b.StartTimer()
-				forShards(threads, threads, func(si int) {
-					shard := com.shards[si]
-					for t := range redMaps {
-						for k, obj := range redMaps[t].shards[si] {
-							if dst, ok := shard[k]; ok {
-								benchApp.Merge(obj, dst)
-							} else {
-								shard[k] = obj
-							}
+			b.Run(fmt.Sprintf("threads=%d/%s", threads, mode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					redMaps := buildRedMaps(threads, keys, shards)
+					com := newArenaStore(shards, benchApp.NewRedObj)
+					b.StartTimer()
+					forShards(shards, threads, func(si int) {
+						for _, seg := range redMaps {
+							seg.forEachIn(si, func(k int, obj RedObj) {
+								if dst, ok := com.lookup(k); ok {
+									benchApp.Merge(obj, dst)
+								} else {
+									com.insert(k, obj)
+								}
+							})
 						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// legacyGlobalCombine is the pre-refactor global combination: whole-map
-// binomial reduce where every tree level decodes both operands, merges, and
-// re-encodes, then a broadcast every rank decodes.
-func legacyGlobalCombine(s *Scheduler[int, int64]) error {
-	comm := s.args.Comm
-	payload, err := encodeMap(s.comMap)
-	if err != nil {
-		return err
-	}
-	merged, err := comm.Reduce(0, payload, func(a, bb []byte) ([]byte, error) {
-		m, err := s.mergeEncoded(a, bb)
-		if err != nil {
-			return nil, err
+					})
+				}
+			})
 		}
-		return encodeMap(m)
-	})
-	if err != nil {
-		return err
 	}
-	global, err := comm.Bcast(0, merged)
-	if err != nil {
-		return err
-	}
-	s.comMap, err = decodeMap(global, s.app.NewRedObj)
-	s.storeFresh = false
-	return err
 }
 
 // BenchmarkGlobalCombine runs a 4-rank in-process tree over an 8192-key map
-// and compares the legacy decode-both-reencode reduce against the sharded
-// decode-once streamed reduce. allocs/op is the headline number: the sharded
-// path re-serializes nothing at interior tree levels and reuses its scratch
-// buffer across rounds.
+// through the sharded decode-once streamed reduce. allocs/op is the headline
+// number: the path re-serializes nothing at interior tree levels and reuses
+// its scratch buffer across rounds.
 func BenchmarkGlobalCombine(b *testing.B) {
 	const ranks = 4
 	const keys = 8192
@@ -120,55 +73,49 @@ func BenchmarkGlobalCombine(b *testing.B) {
 	for k := 0; k < keys; k++ {
 		template[k] = &countObj{n: int64(k)}
 	}
-	for _, mode := range []string{"legacy", "sharded"} {
-		b.Run(mode, func(b *testing.B) {
-			comms := mpi.NewWorld(ranks)
-			scheds := make([]*Scheduler[int, int64], ranks)
-			for r := range scheds {
-				scheds[r] = MustNewScheduler[int, int64](benchApp,
-					SchedArgs{NumThreads: 2, ChunkSize: 1, Comm: comms[r]})
-			}
-			reset := func() {
-				for _, s := range scheds {
-					m := make(CombMap, keys)
-					for k, obj := range template {
-						m[k] = obj.Clone()
-					}
-					s.comMap = m
-					s.storeFresh = false
+	b.Run("sharded", func(b *testing.B) {
+		comms := mpi.NewWorld(ranks)
+		scheds := make([]*Scheduler[int, int64], ranks)
+		for r := range scheds {
+			scheds[r] = MustNewScheduler[int, int64](benchApp,
+				SchedArgs{NumThreads: 2, ChunkSize: 1, Comm: comms[r]})
+		}
+		reset := func() {
+			for _, s := range scheds {
+				m := make(CombMap, keys)
+				for k, obj := range template {
+					m[k] = obj.Clone()
 				}
+				s.comMap = m
+				s.storeFresh = false
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				reset()
-				b.StartTimer()
-				var wg sync.WaitGroup
-				errs := make([]error, ranks)
-				for r := range scheds {
-					r := r
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if mode == "legacy" {
-							errs[r] = legacyGlobalCombine(scheds[r])
-						} else {
-							errs[r] = scheds[r].globalCombine()
-						}
-					}()
-				}
-				wg.Wait()
-				for r, err := range errs {
-					if err != nil {
-						b.Fatalf("rank %d: %v", r, err)
-					}
-				}
-			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			for _, c := range comms {
-				c.Close()
+			reset()
+			b.StartTimer()
+			var wg sync.WaitGroup
+			errs := make([]error, ranks)
+			for r := range scheds {
+				r := r
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[r] = scheds[r].globalCombine()
+				}()
 			}
-		})
-	}
+			wg.Wait()
+			for r, err := range errs {
+				if err != nil {
+					b.Fatalf("rank %d: %v", r, err)
+				}
+			}
+		}
+		b.StopTimer()
+		for _, c := range comms {
+			c.Close()
+		}
+	})
 }

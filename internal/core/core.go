@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/scipioneer/smart/internal/chunk"
 	"github.com/scipioneer/smart/internal/codec"
@@ -161,11 +160,6 @@ type SchedArgs struct {
 	// virtual memory accounting when the object does not implement Sized
 	// (default 64).
 	RedObjBytes int
-	// FlatGlobalCombine switches global combination from the default
-	// binomial-tree reduction to a flat gather-at-root followed by a
-	// sequential merge. The tree is asymptotically better (log P merge
-	// depth); the flag exists for the ablation benchmarks.
-	FlatGlobalCombine bool
 	// CombineShards is the shard count S of the combination pipeline. The
 	// key space is hash-partitioned into S shards so local combination, the
 	// per-iteration distribution step, conversion, and the global
@@ -187,35 +181,12 @@ type SchedArgs struct {
 	// identical under both; see docs/ARCHITECTURE.md ("Execution engine")
 	// for the exact determinism guarantees.
 	Engine string
-	// MapImpl selects the reduction-store implementation behind the engine:
-	// the storage every reduction and combination map lives in. MapGo (the
-	// default) keeps state in Go's built-in map — the pre-store behavior,
-	// kept as the ablation baseline. MapArena keys state with a
-	// Fibonacci-hashed open-addressing index over contiguous per-shard
-	// arenas: no per-key map allocation, storage recycled across iterations,
-	// and slab-allocated objects for FixedSizeObj applications. Results,
-	// wire bytes, and checkpoint bytes are byte-identical under both (the
-	// store equivalence tests pin this across all nine applications and
-	// both engines); see docs/ARCHITECTURE.md ("Reduction stores").
-	MapImpl string
 	// PinThreads dedicates an OS thread to every reduction worker for the
 	// duration of its split (runtime.LockOSThread), the Go analogue of the
 	// paper's per-core thread binding; the OS scheduler then keeps each
 	// thread on its core. Core-numbered affinity masks would need
 	// platform-specific syscalls, which this stdlib-only build avoids.
 	PinThreads bool
-	// OnPhase, when non-nil, receives one event per completed runtime phase
-	// per iteration ("reduction", "local combine", "global combine",
-	// "post combine", "convert", and — in space sharing mode — "read" for
-	// the circular-buffer wait) with its duration. It is called from the
-	// scheduler's coordinating goroutine, never concurrently.
-	//
-	// Deprecated: OnPhase is kept as a back-compat shim, reimplemented as a
-	// subscriber of the scheduler's obs span stream. New code should pass an
-	// obs.Observer via Obs (or use the process default) and call
-	// SubscribeSpans for callbacks: spans carry the category, start time and
-	// attributes that this callback drops.
-	OnPhase func(phase string, d time.Duration)
 	// Obs is the observability sink for phase spans and runtime metrics
 	// (reduction-map sizes, keys touched, early emissions, serialized
 	// bytes). Nil means obs.Default(), so instrumentation is always on; the
@@ -247,12 +218,6 @@ func (a *SchedArgs) validate() error {
 		return fmt.Errorf("core: unknown engine %q (want %q or %q)",
 			a.Engine, EngineStatic, EngineStealing)
 	}
-	switch a.MapImpl {
-	case MapGo, MapArena:
-	default:
-		return fmt.Errorf("core: unknown map implementation %q (want %q or %q)",
-			a.MapImpl, MapGo, MapArena)
-	}
 	return nil
 }
 
@@ -276,9 +241,6 @@ func (a *SchedArgs) withDefaults() SchedArgs {
 	if out.Engine == "" {
 		out.Engine = EngineStatic
 	}
-	if out.MapImpl == "" {
-		out.MapImpl = MapGo
-	}
 	return out
 }
 
@@ -298,13 +260,12 @@ type Scheduler[In, Out any] struct {
 	comMap     CombMap
 	globalComb bool
 	// store is the sharded working view of comMap driving the parallel
-	// combination pipeline — the redStore selected by args.MapImpl. It
-	// aliases comMap's objects; storeFresh records whether the two views are
-	// currently in sync (application code — ProcessExtraData, PostCombine,
-	// arbitrary callers of CombinationMap between Runs — only ever mutates
-	// the flat view, so the scheduler reseeds lazily at the phase boundaries
-	// that need the sharded form).
-	store      redStore
+	// combination pipeline. It aliases comMap's objects; storeFresh records
+	// whether the two views are currently in sync (application code —
+	// ProcessExtraData, PostCombine, arbitrary callers of CombinationMap
+	// between Runs — only ever mutates the flat view, so the scheduler
+	// reseeds lazily at the phase boundaries that need the sharded form).
+	store      *arenaStore
 	storeFresh bool
 	// newObj is app.NewRedObj bound once, so store factories and decode
 	// paths never rebuild the method value.
@@ -318,9 +279,8 @@ type Scheduler[In, Out any] struct {
 	obs       *obs.Observer
 	met       schedMetrics
 	// spanSubs receives every phase span this scheduler emits from its
-	// coordinating goroutine; the OnPhase shim is the first subscriber.
-	// Append via SubscribeSpans before the first Run — the slice is read
-	// without a lock on the phase path.
+	// coordinating goroutine. Append via SubscribeSpans before the first
+	// Run — the slice is read without a lock on the phase path.
 	spanSubs []func(obs.Span)
 	// emitSubs receives every early emission (SubscribeEarlyEmits); like
 	// spanSubs it is appended before the first Run and read without a lock,
@@ -374,15 +334,11 @@ func NewScheduler[In, Out any](app Analytics[In, Out], args SchedArgs) (*Schedul
 		buf:        ringbuf.New[feedItem[In]](a.BufferCells),
 		obs:        a.Obs,
 	}
-	s.store = newRedStore(a.MapImpl, a.CombineShards, s.newObj)
+	s.store = newArenaStore(a.CombineShards, s.newObj)
 	if s.obs == nil {
 		s.obs = obs.Default()
 	}
 	s.met.init(s.obs.Registry())
-	if a.OnPhase != nil {
-		hook := a.OnPhase
-		s.SubscribeSpans(func(sp obs.Span) { hook(sp.Name, sp.Dur) })
-	}
 	var anyApp any = app
 	if m, ok := anyApp.(MultiKeyer[In]); ok {
 		s.multi = m
@@ -435,13 +391,12 @@ func (s *Scheduler[In, Out]) ResetCombinationMap() {
 
 // RecycleCombinationMap clears accumulated state like ResetCombinationMap
 // but keeps every allocation the previous run built up: the flat map's
-// buckets and the sharded store's structures (per-shard maps, or the arena
-// store's index and slabs) are cleared in place rather than dropped. This
-// is the re-entrant per-window entry point the streaming layer
-// (internal/stream) runs on — a standing query fires many windows through
-// one scheduler, and recycling keeps the per-window cost at clear-and-reuse
-// instead of reallocate-and-reseed. Output is identical either way; only
-// the allocation profile differs.
+// buckets and the sharded store's index, arena, and slabs are cleared in
+// place rather than dropped. This is the re-entrant per-window entry point
+// the streaming layer (internal/stream) runs on — a standing query fires
+// many windows through one scheduler, and recycling keeps the per-window
+// cost at clear-and-reuse instead of reallocate-and-reseed. Output is
+// identical either way; only the allocation profile differs.
 func (s *Scheduler[In, Out]) RecycleCombinationMap() {
 	clear(s.comMap)
 	s.store.clear()
@@ -490,10 +445,6 @@ func (s *Scheduler[In, Out]) SetPprofLabels(on bool) { s.pprofLabels = on }
 // Engine reports the effective execution engine name (EngineStatic or
 // EngineStealing) this scheduler runs its reduction phase on.
 func (s *Scheduler[In, Out]) Engine() string { return s.eng.name() }
-
-// MapImpl reports the effective reduction-store implementation (MapGo or
-// MapArena) this scheduler keeps its reduction and combination state in.
-func (s *Scheduler[In, Out]) MapImpl() string { return s.args.MapImpl }
 
 // SubscribeSpans registers fn to receive every phase span this scheduler
 // emits ("reduction", "local combine", "global combine", "post combine",

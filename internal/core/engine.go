@@ -50,9 +50,9 @@ type engine[In, Out any] interface {
 	// combination merges them in this order, so each key's partial results
 	// merge in ascending input order regardless of which thread produced
 	// them. The caller owns the stores until the next distribute; the engine
-	// may retain references to its per-thread slots so a recyclable store
-	// implementation (arena) can reuse their storage next iteration.
-	segments() []redStore
+	// retains references to its per-thread slots so their storage is reused
+	// next iteration.
+	segments() []*arenaStore
 }
 
 // newEngine constructs the engine selected by the (defaulted, validated)
@@ -72,9 +72,9 @@ func newEngine[In, Out any](s *Scheduler[In, Out]) engine[In, Out] {
 // store, shard-parallel: each worker clones its shard for every target, so
 // the per-iteration clone cost scales with cores instead of riding the
 // coordinating goroutine. Shared by both engines for their primary segments.
-// insertClone is the store's clone-seed: gomap clones through RedObj.Clone,
-// arena assigns into slab slots for FixedSizeObj applications.
-func (s *Scheduler[In, Out]) distributeInto(stores []redStore, env *runEnv[In, Out]) {
+// insertClone is the store's clone-seed: it assigns into slab slots for
+// FixedSizeObj applications and clones through RedObj.Clone otherwise.
+func (s *Scheduler[In, Out]) distributeInto(stores []*arenaStore, env *runEnv[In, Out]) {
 	forShards(s.store.numShards(), s.phaseWorkers(), func(si int) {
 		s.store.forEachIn(si, func(k int, obj RedObj) {
 			for t := range stores {
@@ -86,28 +86,12 @@ func (s *Scheduler[In, Out]) distributeInto(stores []redStore, env *runEnv[In, O
 	})
 }
 
-// newSegStore builds one engine segment store, recycling prev where the
-// implementation supports it. The gomap baseline keeps allocating fresh maps
-// every distribute — the pre-store behavior the ablation benchmarks compare
-// against — though each shard is now pre-sized to the combination shard it
-// is about to receive a clone of. The arena implementation instead clears
-// prev in place, reusing its index, arena, and slab storage.
-func (s *Scheduler[In, Out]) newSegStore(prev redStore) redStore {
-	if s.args.MapImpl == MapArena {
-		if a, ok := prev.(*arenaStore); ok {
-			a.clear()
-			return a
-		}
-		return newArenaStore(s.store.numShards(), s.newObj)
+// newSegStore returns one engine segment store: prev cleared in place, reusing
+// its index, arena, and slab storage, or a fresh store when there is none.
+func (s *Scheduler[In, Out]) newSegStore(prev *arenaStore) *arenaStore {
+	if prev != nil {
+		prev.clear()
+		return prev
 	}
-	m := newShardedMap(s.store.numShards())
-	m.create = s.newObj
-	if s.storeFresh {
-		for si := range m.shards {
-			if l := s.store.shardLen(si); l > 0 {
-				m.shards[si] = make(CombMap, l)
-			}
-		}
-	}
-	return m
+	return newArenaStore(s.store.numShards(), s.newObj)
 }

@@ -19,9 +19,9 @@ type staticEngine[In, Out any] struct {
 	s *Scheduler[In, Out]
 	// redMaps holds one segment store per thread; thread t's splits of every
 	// block of the iteration accumulate into redMaps[t], exactly the
-	// pre-engine behavior. The slots persist across iterations so recyclable
-	// store implementations reuse their storage (see newSegStore).
-	redMaps []redStore
+	// pre-engine behavior. The slots persist across iterations so their
+	// storage is reused (see newSegStore).
+	redMaps []*arenaStore
 }
 
 func (e *staticEngine[In, Out]) name() string { return EngineStatic }
@@ -29,7 +29,7 @@ func (e *staticEngine[In, Out]) name() string { return EngineStatic }
 func (e *staticEngine[In, Out]) distribute(env *runEnv[In, Out]) {
 	s := e.s
 	if e.redMaps == nil {
-		e.redMaps = make([]redStore, s.args.NumThreads)
+		e.redMaps = make([]*arenaStore, s.args.NumThreads)
 	}
 	for t := range e.redMaps {
 		e.redMaps[t] = s.newSegStore(e.redMaps[t])
@@ -87,8 +87,8 @@ func (e *staticEngine[In, Out]) reduceBlock(block chunk.Split, env *runEnv[In, O
 	return errors.Join(errs...)
 }
 
-func (e *staticEngine[In, Out]) segments() []redStore {
-	segs := make([]redStore, len(e.redMaps))
+func (e *staticEngine[In, Out]) segments() []*arenaStore {
+	segs := make([]*arenaStore, len(e.redMaps))
 	copy(segs, e.redMaps)
 	return segs
 }

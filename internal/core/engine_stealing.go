@@ -51,7 +51,7 @@ type stealingEngine[In, Out any] struct {
 // stealSeg is one reduction-store segment plus the element offset of the
 // first unit it owned, which orders segments for local combination.
 type stealSeg struct {
-	m        redStore
+	m        *arenaStore
 	startKey int
 }
 
@@ -63,7 +63,7 @@ func (e *stealingEngine[In, Out]) distribute(env *runEnv[In, Out]) {
 	if e.primary == nil {
 		e.primary = make([]stealSeg, nt)
 	}
-	stores := make([]redStore, nt)
+	stores := make([]*arenaStore, nt)
 	for t := range stores {
 		stores[t] = s.newSegStore(e.primary[t].m)
 		e.primary[t] = stealSeg{m: stores[t]}
@@ -148,7 +148,7 @@ func (e *stealingEngine[In, Out]) reduceBlock(block chunk.Split, env *runEnv[In,
 // only shrink, so an empty scan is a stable exit condition. On error the
 // worker raises abort, which stops every worker within one batch.
 func (e *stealingEngine[In, Out]) runWorker(t int, block chunk.Split, d *chunk.BatchDeque,
-	seg redStore, reg *stealRegistry, abort *atomic.Bool, env *runEnv[In, Out]) error {
+	seg *arenaStore, reg *stealRegistry, abort *atomic.Bool, env *runEnv[In, Out]) error {
 
 	s := e.s
 	nt := s.args.NumThreads
@@ -220,7 +220,7 @@ steal:
 	return err
 }
 
-func (e *stealingEngine[In, Out]) segments() []redStore {
+func (e *stealingEngine[In, Out]) segments() []*arenaStore {
 	segs := make([]stealSeg, 0, len(e.primary)+len(e.stolen))
 	segs = append(segs, e.primary...)
 	segs = append(segs, e.stolen...)
@@ -229,7 +229,7 @@ func (e *stealingEngine[In, Out]) segments() []redStore {
 	// primaries are keyed by their first block's range, so cross-block order
 	// is per-segment, not global — merge semantics do not depend on it.
 	sort.SliceStable(segs, func(i, j int) bool { return segs[i].startKey < segs[j].startKey })
-	out := make([]redStore, len(segs))
+	out := make([]*arenaStore, len(segs))
 	for i := range segs {
 		out[i] = segs[i].m
 	}
@@ -244,7 +244,7 @@ func (e *stealingEngine[In, Out]) segments() []redStore {
 // memory accounting exactly as the distribute step does. It runs on a
 // stealing worker concurrently with reduction, which is safe: forEachIn only
 // reads the combination store, and reduction never mutates it.
-func (s *Scheduler[In, Out]) cloneComSegment(env *runEnv[In, Out]) redStore {
+func (s *Scheduler[In, Out]) cloneComSegment(env *runEnv[In, Out]) *arenaStore {
 	m := s.newSegStore(nil)
 	for si := 0; si < s.store.numShards(); si++ {
 		s.store.forEachIn(si, func(k int, obj RedObj) {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/scipioneer/smart/internal/obs"
 )
@@ -56,50 +55,49 @@ func TestRunRecordsPhaseSpansAndMetrics(t *testing.T) {
 	}
 }
 
-// TestOnPhaseShimMatchesSpanStream checks the deprecated OnPhase callback
-// — now a span-stream subscriber — still fires with the same phases and
-// durations as SubscribeSpans.
-func TestOnPhaseShimMatchesSpanStream(t *testing.T) {
-	type ev struct {
-		phase string
-		d     time.Duration
-	}
-	var hook []ev
-	var spans []obs.Span
+// TestSubscribeSpansPerPhase checks the subscriber stream carries one span
+// per phase per iteration, with non-negative durations, from the
+// coordinating goroutine.
+func TestSubscribeSpansPerPhase(t *testing.T) {
+	events := map[string]int{}
 	s := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{
-		NumThreads: 1, ChunkSize: 1, NumIters: 2, Obs: obs.New(),
-		OnPhase: func(phase string, d time.Duration) { hook = append(hook, ev{phase, d}) },
+		NumThreads: 2, ChunkSize: 1, NumIters: 3, Obs: obs.New(),
 	})
-	s.SubscribeSpans(func(sp obs.Span) { spans = append(spans, sp) })
-	if err := s.Run(histInput(100), make([]int64, 10)); err != nil {
+	s.SubscribeSpans(func(sp obs.Span) {
+		if sp.Dur < 0 {
+			t.Errorf("negative duration for %s", sp.Name)
+		}
+		events[sp.Name]++
+	})
+	if err := s.Run(histInput(500), make([]int64, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if len(hook) != len(spans) {
-		t.Fatalf("OnPhase saw %d events, span stream %d", len(hook), len(spans))
+	if events["reduction"] != 3 || events["local combine"] != 3 {
+		t.Fatalf("per-iteration phases: %v", events)
 	}
-	for i := range hook {
-		if hook[i].phase != spans[i].Name || hook[i].d != spans[i].Dur {
-			t.Fatalf("event %d: OnPhase (%s, %v) != span (%s, %v)",
-				i, hook[i].phase, hook[i].d, spans[i].Name, spans[i].Dur)
-		}
+	if events["convert"] != 1 {
+		t.Fatalf("convert events: %v", events)
+	}
+	if events["global combine"] != 0 {
+		t.Fatalf("global combine without a communicator: %v", events)
 	}
 }
 
 // TestSpaceSharingEmitsReadAndFeedSpans drives the Feed/RunShared path and
 // checks the previously-unreported phases now show up: "feed" on the
 // observer (producer side) and "read" on the full span stream (consumer
-// side, so the OnPhase shim sees it too).
+// side, so SubscribeSpans subscribers see it too).
 func TestSpaceSharingEmitsReadAndFeedSpans(t *testing.T) {
 	o := obs.New()
 	phases := map[string]int{}
 	var mu sync.Mutex
 	s := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 1, BufferCells: 2, Obs: o,
-		OnPhase: func(phase string, _ time.Duration) {
-			mu.Lock()
-			phases[phase]++
-			mu.Unlock()
-		},
+	})
+	s.SubscribeSpans(func(sp obs.Span) {
+		mu.Lock()
+		phases[sp.Name]++
+		mu.Unlock()
 	})
 
 	const steps = 3
@@ -128,7 +126,7 @@ func TestSpaceSharingEmitsReadAndFeedSpans(t *testing.T) {
 	wg.Wait()
 
 	if phases["read"] != steps {
-		t.Fatalf("OnPhase read events = %d, want %d", phases["read"], steps)
+		t.Fatalf("subscriber read events = %d, want %d", phases["read"], steps)
 	}
 	r := o.Registry()
 	if got := r.Counter(obs.SpanCounterName("feed")).Value(); got != steps {

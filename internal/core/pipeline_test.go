@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -122,96 +121,5 @@ func TestGlobalCombineSingleProcess(t *testing.T) {
 	}
 	if total != 100 {
 		t.Fatalf("total %d", total)
-	}
-}
-
-func TestFlatGlobalCombineMatchesTree(t *testing.T) {
-	const ranks = 5
-	full := histInput(500)
-	per := len(full) / ranks
-
-	run := func(flat bool) [][]int64 {
-		comms := mpi.NewWorld(ranks)
-		results := make([][]int64, ranks)
-		var wg sync.WaitGroup
-		for r := 0; r < ranks; r++ {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer comms[r].Close()
-				s := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{
-					NumThreads: 2, ChunkSize: 1, NumIters: 1, Comm: comms[r],
-					FlatGlobalCombine: flat,
-				})
-				out := make([]int64, 10)
-				if err := s.Run(full[r*per:(r+1)*per], out); err != nil {
-					t.Errorf("rank %d: %v", r, err)
-					return
-				}
-				results[r] = out
-			}()
-		}
-		wg.Wait()
-		return results
-	}
-
-	tree := run(false)
-	flat := run(true)
-	for r := 0; r < ranks; r++ {
-		for b := range tree[r] {
-			if tree[r][b] != flat[r][b] {
-				t.Fatalf("rank %d bucket %d: tree %d flat %d", r, b, tree[r][b], flat[r][b])
-			}
-		}
-	}
-}
-
-func TestIterativeFlatCombine(t *testing.T) {
-	// The flat path must behave across iterations too (k-means).
-	var in []float64
-	for i := 0; i < 200; i++ {
-		in = append(in, float64(i%10), 100+float64(i%10)/10)
-	}
-	const ranks = 4
-	comms := mpi.NewWorld(ranks)
-	per := len(in) / ranks
-	results := make([][]float64, ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer comms[r].Close()
-			s := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
-				NumThreads: 1, ChunkSize: 1, NumIters: 8, Extra: []float64{10, 60},
-				Comm: comms[r], FlatGlobalCombine: true,
-			})
-			out := make([]float64, 2)
-			if err := s.Run(in[r*per:(r+1)*per], out); err != nil {
-				t.Errorf("rank %d: %v", r, err)
-				return
-			}
-			results[r] = out
-		}()
-	}
-	wg.Wait()
-
-	single := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
-		NumThreads: 1, ChunkSize: 1, NumIters: 8, Extra: []float64{10, 60},
-	})
-	want := make([]float64, 2)
-	if err := single.Run(in, want); err != nil {
-		t.Fatal(err)
-	}
-	for r := range results {
-		for i := range want {
-			// The flat merge applies Merge in a different order than the
-			// tree, so results agree only up to floating-point rounding.
-			if math.Abs(results[r][i]-want[i]) > 1e-9 {
-				t.Fatalf("rank %d centroid %d: %v vs %v", r, i, results[r][i], want[i])
-			}
-		}
 	}
 }

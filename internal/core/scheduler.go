@@ -228,8 +228,8 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 }
 
 // phaseEvent records a completed phase as an obs span — metrics + trace via
-// the observer, then the scheduler's subscribers (the OnPhase shim among
-// them). Called only from the coordinating goroutine.
+// the observer, then the scheduler's subscribers. Called only from the
+// coordinating goroutine.
 func (s *Scheduler[In, Out]) phaseEvent(name string, start time.Time) {
 	s.phaseEventID(name, start, 0)
 }
@@ -278,7 +278,7 @@ func (s *Scheduler[In, Out]) pushPhaseTrace() (id uint64, restore func()) {
 
 // shardSpans records one observer span per shard of a shard-parallel phase,
 // carrying the shard index as an attribute. Like the producer-side "feed"
-// span, these go to the observer only, not to SubscribeSpans/OnPhase — the
+// span, these go to the observer only, not to SubscribeSpans — the
 // subscribers get the single phase-level event, the trace gets the per-shard
 // breakdown (each span's Start is the phase start; Dur is that shard's own
 // processing time).
@@ -340,7 +340,7 @@ func (s *Scheduler[In, Out]) syncFlat() {
 // during the iteration into the registry — one flush per phase boundary, so
 // the per-chunk hot path never touches an atomic. Called from the
 // coordinating goroutine after the phase workers have joined.
-func (s *Scheduler[In, Out]) flushStoreStats(segs []redStore) {
+func (s *Scheduler[In, Out]) flushStoreStats(segs []*arenaStore) {
 	st := s.store.takeStats()
 	for _, seg := range segs {
 		t := seg.takeStats()
@@ -360,7 +360,7 @@ func (s *Scheduler[In, Out]) flushStoreStats(segs []redStore) {
 // create the reduction object, accumulate, and — when the object's trigger
 // fires — emit it early (Algorithm 2).
 func (s *Scheduler[In, Out]) processSplit(sp chunk.Split, in []In, out []Out,
-	redMap redStore, multi bool, live *liveCounter, tracker *memTracker) error {
+	redMap *arenaStore, multi bool, live *liveCounter, tracker *memTracker) error {
 
 	var keys []int
 	var chunks, touched int64
@@ -419,7 +419,7 @@ type chunkCache struct {
 // creating the reduction object on first touch and emitting it early when
 // its trigger fires (Algorithm 2).
 func (s *Scheduler[In, Out]) consumeChunk(k int, c chunk.Chunk, in []In, out []Out,
-	redMap redStore, live *liveCounter, tracker *memTracker, cache *chunkCache) {
+	redMap *arenaStore, live *liveCounter, tracker *memTracker, cache *chunkCache) {
 
 	obj := cache.obj
 	if cache.key != k || obj == nil {
@@ -600,32 +600,6 @@ func (s *Scheduler[In, Out]) GlobalCombine(out []Out) error {
 func (s *Scheduler[In, Out]) globalCombine() error {
 	start := time.Now()
 	comm := s.args.Comm
-	if s.args.FlatGlobalCombine {
-		// Ablation baseline: whole-map gather at root, sequential
-		// decode-both-reencode merges — the paper's flat comparison point.
-		payload, err := encodeMap(s.comMap)
-		if err != nil {
-			return fmt.Errorf("core: global combination encode: %w", err)
-		}
-		atomic.AddInt64(&s.stats.SerializedBytes, int64(len(payload)))
-		s.met.gcBytes.Add(int64(len(payload)))
-		merged, err := s.flatCombine(payload)
-		if err != nil {
-			return fmt.Errorf("core: global combination reduce: %w", err)
-		}
-		global, err := comm.Bcast(0, merged)
-		if err != nil {
-			return fmt.Errorf("core: global combination bcast: %w", err)
-		}
-		s.comMap, err = decodeMap(global, s.newObj)
-		if err != nil {
-			return fmt.Errorf("core: global combination decode: %w", err)
-		}
-		s.storeFresh = false
-		s.stats.GlobalCombineTime += time.Since(start)
-		return nil
-	}
-
 	s.syncStore()
 	var sent int64
 	enc := func(seg int) ([]byte, error) {
@@ -726,51 +700,6 @@ func (s *Scheduler[In, Out]) globalCombine() error {
 	s.met.gcBytes.Add(sent)
 	s.stats.GlobalCombineTime += time.Since(start)
 	return nil
-}
-
-// mergeEncoded decodes two serialized maps and merges the second into the
-// first with the application's Merge.
-func (s *Scheduler[In, Out]) mergeEncoded(a, b []byte) (CombMap, error) {
-	am, err := decodeMap(a, s.app.NewRedObj)
-	if err != nil {
-		return nil, err
-	}
-	bm, err := decodeMap(b, s.app.NewRedObj)
-	if err != nil {
-		return nil, err
-	}
-	for k, obj := range bm {
-		if dst, ok := am[k]; ok {
-			s.app.Merge(obj, dst)
-		} else {
-			am[k] = obj
-		}
-	}
-	return am, nil
-}
-
-// flatCombine is the ablation path: gather every rank's serialized map at
-// rank 0 and merge them there sequentially (P-1 merges at the root instead
-// of log P along the tree).
-func (s *Scheduler[In, Out]) flatCombine(payload []byte) ([]byte, error) {
-	parts, err := s.args.Comm.Gather(0, payload)
-	if err != nil {
-		return nil, err
-	}
-	if s.args.Comm.Rank() != 0 {
-		return nil, nil
-	}
-	acc := parts[0]
-	for _, part := range parts[1:] {
-		m, err := s.mergeEncoded(acc, part)
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = encodeMap(m); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
 }
 
 // memTracker charges the runtime's transient data structures against a

@@ -126,11 +126,11 @@ func appendEntriesSorted(buf []byte, ents []storeEntry) ([]byte, error) {
 // appendStore serializes a reduction store in the exact encodeMap format:
 // every live key across every shard, re-sorted into one ascending sequence
 // and framed identically — so the wire and checkpoint byte format is
-// independent of the store implementation behind the engine. It only reads
+// independent of shard count and insertion order. It only reads
 // the store through forEachIn (no lookups, no counter writes), so it is safe
 // to run concurrently with other readers — the checkpoint writer depends on
 // this.
-func appendStore(buf []byte, st redStore) ([]byte, error) {
+func appendStore(buf []byte, st *arenaStore) ([]byte, error) {
 	ents := make([]storeEntry, 0, st.size())
 	for si := 0; si < st.numShards(); si++ {
 		st.forEachIn(si, func(k int, obj RedObj) {
@@ -143,8 +143,8 @@ func appendStore(buf []byte, st redStore) ([]byte, error) {
 // appendShardOf serializes one shard of a reduction store as a standalone
 // encodeMap frame (the global-combination streamed segments). Keys within a
 // shard are written in ascending order, so the per-shard payload bytes are
-// implementation-independent too.
-func appendShardOf(buf []byte, st redStore, si int) ([]byte, error) {
+// canonical too.
+func appendShardOf(buf []byte, st *arenaStore, si int) ([]byte, error) {
 	ents := make([]storeEntry, 0, st.shardLen(si))
 	st.forEachIn(si, func(k int, obj RedObj) {
 		ents = append(ents, storeEntry{k, obj})

@@ -36,21 +36,21 @@ func TestShardIndexSpreads(t *testing.T) {
 
 func TestShardedMapFlattenPreservesIdentity(t *testing.T) {
 	flat := CombMap{1: &countObj{n: 10}, 2: &countObj{n: 20}, 77: &countObj{n: 30}}
-	sm := newShardedMap(4)
-	sm.insertFlat(flat)
-	if sm.size() != len(flat) {
-		t.Fatalf("sharded size %d, want %d", sm.size(), len(flat))
+	st := newTestStore(4)
+	st.reseed(flat)
+	if st.size() != len(flat) {
+		t.Fatalf("sharded size %d, want %d", st.size(), len(flat))
 	}
 	// The sharded view aliases the same objects.
 	for k, obj := range flat {
-		if sm.shardFor(k)[k] != obj {
+		if got, ok := st.lookup(k); !ok || got != obj {
 			t.Fatalf("key %d not aliased in its shard", k)
 		}
 	}
 	// flattenInto must refill the same map value, not replace it.
 	dst := flat
-	sm.shardFor(5)[5] = &countObj{n: 50}
-	sm.flattenInto(dst)
+	st.insert(5, &countObj{n: 50})
+	st.flattenInto(dst)
 	if len(dst) != 4 || dst[5].(*countObj).n != 50 {
 		t.Fatalf("flattenInto result: %v", dst)
 	}

@@ -31,9 +31,9 @@ func (s *Scheduler[In, Out]) Feed(in []In) error {
 		return err
 	}
 	// The feed span (copy + any blocked-on-full wait) goes to the observer
-	// only, not to SubscribeSpans/OnPhase: it fires on the producer
-	// goroutine, and the subscriber contract promises the coordinating
-	// goroutine. The consumer-side "read" span covers the other end.
+	// only, not to SubscribeSpans: it fires on the producer goroutine, and the
+	// subscriber contract promises the coordinating goroutine. The
+	// consumer-side "read" span covers the other end.
 	s.obs.RecordSpan(obs.Span{Cat: "core", Name: "feed", Start: start, Dur: time.Since(start),
 		Attrs: map[string]any{"elems": len(in)}})
 	return nil
@@ -70,7 +70,7 @@ func (s *Scheduler[In, Out]) runShared(out []Out, multi bool) error {
 	}
 	// "read" is the phase the plain Run path never has: waiting on (and
 	// dequeuing from) the circular buffer. Delivered on the consumer — the
-	// coordinating goroutine — so it reaches OnPhase/SubscribeSpans too.
+	// coordinating goroutine — so it reaches SubscribeSpans too.
 	s.phaseEvent("read", start)
 	defer item.mem.Free()
 	return s.run(context.Background(), item.data, out, multi)

@@ -133,13 +133,12 @@ type schedMetrics struct {
 	// observed — the workload size at the start of a block).
 	queueDepth *obs.Gauge
 	// arenaBytes gauges the bytes resident in the combination store's arena
-	// storage (index tables + key/object arrays) under MapImpl "arena";
-	// stays zero under the gomap baseline.
+	// storage (index tables + key/object arrays).
 	arenaBytes *obs.Gauge
 	// storeProbeLen samples the mean open-addressing probe length per store
 	// lookup, flushed once per local-combine phase. A healthy arena table
 	// stays near 1; sustained growth means the load factor or hash is wrong
-	// for the workload. Zero samples under the gomap baseline.
+	// for the workload.
 	storeProbeLen *obs.Histogram
 }
 

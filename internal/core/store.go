@@ -1,100 +1,23 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Map implementation names accepted by SchedArgs.MapImpl.
-const (
-	// MapGo keys reduction and combination state with Go's built-in map —
-	// the pre-store behavior, kept bit- and allocation-compatible as the
-	// ablation baseline.
-	MapGo = "gomap"
-	// MapArena keys state with a Fibonacci-hashed open-addressing index over
-	// a contiguous per-shard arena of objects: no per-key map allocation,
-	// recycled segment storage across iterations, and slab-allocated objects
-	// for FixedSizeObj applications.
-	MapArena = "arena"
-)
-
-// redStore is the reduction/combination-map storage layer behind the engine:
-// everything between the scheduler and the bytes — lookup-or-insert on the
-// reduction hot path, the clone-seed of the per-iteration distribution step,
-// the shard-parallel combine-into, iterate-in-key-order for the canonical
-// serialization, and the flat-view resync at application boundaries.
-//
-// Sharding is part of the contract, not an implementation detail: every
-// implementation partitions keys with shardIndex over the same shard count,
-// so shard si of any two stores of one scheduler covers the same key set and
-// the shard-parallel phases stay lock-free. Per-shard state must therefore be
-// independent: concurrent calls are allowed as long as no two goroutines
-// touch keys of the same shard (the forShards discipline).
-//
-// Iteration order inside a shard is unspecified — the pipeline never depends
-// on it (serialization sorts keys, per-key phases are order-independent) —
-// which is exactly the freedom that lets arenaStore lay objects out in
-// insertion order.
-type redStore interface {
-	// numShards is the shard count S every store of one scheduler shares.
-	numShards() int
-	// shardLen is the live entry count of one shard (capacity hints).
-	shardLen(si int) int
-	// size is the total live entry count.
-	size() int
-	// lookup returns the object stored under key.
-	lookup(key int) (RedObj, bool)
-	// lookupOrCreate returns the object under key, creating one with the
-	// store's factory on first touch; created reports a fresh object.
-	lookupOrCreate(key int) (obj RedObj, created bool)
-	// insert stores obj under key, replacing any present object. The store
-	// aliases obj; it does not copy.
-	insert(key int, obj RedObj)
-	// insertClone stores a deep copy of src under key — the distribution
-	// step's clone-seed — and returns the stored copy for accounting.
-	insertClone(key int, src RedObj) RedObj
-	// remove erases key (early emission).
-	remove(key int)
-	// clear empties the store, retaining internal capacity for reuse.
-	clear()
-	// reseed replaces the contents with flat's entries (aliased, not cloned),
-	// pre-sizing storage from len(flat) where the implementation can.
-	reseed(flat CombMap)
-	// flattenInto rebuilds the flat view in dst, preserving dst's identity
-	// (holders of CombinationMap keep seeing current state). dst's capacity
-	// is retained across the clear+refill, so steady-state resyncs do not
-	// re-grow it.
-	flattenInto(dst CombMap)
-	// forEachIn calls fn for every live entry of shard si, in unspecified
-	// order. fn must not mutate the store.
-	forEachIn(si int, fn func(key int, obj RedObj))
-	// orderedKeys returns every live key in ascending order, reusing dst's
-	// capacity (dst may be nil) — the serialization contract that keeps wire
-	// and checkpoint bytes independent of the store implementation.
-	orderedKeys(dst []int) []int
-	// orderedShardKeys is orderedKeys restricted to shard si, feeding the
-	// per-shard global-combination segments.
-	orderedShardKeys(si int, dst []int) []int
-	// takeStats drains the store's counters accumulated since the last call.
-	// Counters are maintained per shard without atomics; callers must drain
-	// only from the coordinating goroutine, after phase workers joined.
-	takeStats() redStoreStats
-}
-
-// redStoreStats is the per-phase counter block a store surrenders via
+// storeStats is the per-phase counter block a store surrenders via
 // takeStats; the scheduler flushes it into the obs registry at phase ends so
 // the per-chunk hot path never touches an atomic.
-type redStoreStats struct {
+type storeStats struct {
 	// probes/lookups accumulate open-addressing probe steps per keyed
 	// operation; probes/lookups is the mean probe sequence length
-	// (smart_core_store_probe_len). Zero for gomap.
+	// (smart_core_store_probe_len).
 	probes, lookups int64
 	// arenaBytes is the current footprint of the store's index and arena
 	// arrays (smart_core_arena_bytes); the objects themselves are charged
-	// through the memmodel tracker like any other implementation's.
+	// through the memmodel tracker.
 	arenaBytes int64
 }
 
@@ -122,31 +45,14 @@ type FixedSizeObj interface {
 	Assign(src RedObj)
 }
 
-// newRedStore constructs the store selected by a validated SchedArgs.MapImpl
-// value. create is the application's reduction-object factory, bound once so
-// lookupOrCreate never builds a method value on the hot path.
-func newRedStore(impl string, nshards int, create func() RedObj) redStore {
-	switch impl {
-	case MapArena:
-		return newArenaStore(nshards, create)
-	case MapGo:
-		m := newShardedMap(nshards)
-		m.create = create
-		return m
-	}
-	// validate has already rejected anything else.
-	panic(fmt.Sprintf("core: unknown map implementation %q", impl))
-}
-
 // forShards runs fn(shard index) for every one of n shards on up to workers
 // goroutines and reports each shard's duration — the parallel driver of every
-// shard-parallel phase, independent of which store implementation backs the
-// shards. With workers <= 1 the shards run serially on the calling goroutine
-// (the Sequential-mode and single-thread path). The goroutine count is
-// additionally clamped to GOMAXPROCS: the shard work is pure CPU, so
-// goroutines beyond the schedulable parallelism only add handoff overhead
-// (unlike the reduction workers, whose count is part of the configured
-// execution model).
+// shard-parallel phase. With workers <= 1 the shards run serially on the
+// calling goroutine (the Sequential-mode and single-thread path). The
+// goroutine count is additionally clamped to GOMAXPROCS: the shard work is
+// pure CPU, so goroutines beyond the schedulable parallelism only add handoff
+// overhead (unlike the reduction workers, whose count is part of the
+// configured execution model).
 func forShards(n, workers int, fn func(shard int)) []time.Duration {
 	if p := runtime.GOMAXPROCS(0); workers > p {
 		workers = p

@@ -2,140 +2,145 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 )
 
-// newTestStore builds a store of the given implementation with the countObj
-// factory the core tests share.
-func newTestStore(t testing.TB, impl string, nshards int) redStore {
-	t.Helper()
-	return newRedStore(impl, nshards, func() RedObj { return &countObj{} })
+// newTestStore builds an arena store with the countObj factory the core
+// tests share.
+func newTestStore(nshards int) *arenaStore {
+	return newArenaStore(nshards, func() RedObj { return &countObj{} })
 }
 
-func storeImpls() []string { return []string{MapGo, MapArena} }
-
 func TestStoreBasicOps(t *testing.T) {
-	for _, impl := range storeImpls() {
-		t.Run(impl, func(t *testing.T) {
-			st := newTestStore(t, impl, 4)
-			if st.size() != 0 {
-				t.Fatalf("fresh store size %d", st.size())
-			}
-			if _, ok := st.lookup(7); ok {
-				t.Fatal("lookup on empty store succeeded")
-			}
-			obj, created := st.lookupOrCreate(7)
-			if !created {
-				t.Fatal("first lookupOrCreate did not create")
-			}
-			obj.(*countObj).n = 70
-			if again, created := st.lookupOrCreate(7); created || again != obj {
-				t.Fatal("second lookupOrCreate did not return the same object")
-			}
-			if got, ok := st.lookup(7); !ok || got != obj {
-				t.Fatal("lookup did not return the created object")
-			}
-			st.insert(7, &countObj{n: 1})
-			if got, _ := st.lookup(7); got.(*countObj).n != 1 {
-				t.Fatal("insert did not replace")
-			}
-			src := &countObj{n: 42}
-			c := st.insertClone(9, src)
-			if c == nil || c == RedObj(src) || c.(*countObj).n != 42 {
-				t.Fatalf("insertClone returned %v", c)
-			}
-			src.n = 0
-			if got, _ := st.lookup(9); got.(*countObj).n != 42 {
-				t.Fatal("insertClone aliased its source")
-			}
-			if st.size() != 2 {
-				t.Fatalf("size %d, want 2", st.size())
-			}
-			st.remove(7)
-			if _, ok := st.lookup(7); ok || st.size() != 1 {
-				t.Fatal("remove left the key visible")
-			}
-			st.remove(7) // idempotent
-			st.clear()
-			if st.size() != 0 {
-				t.Fatalf("size %d after clear", st.size())
-			}
-			if _, ok := st.lookup(9); ok {
-				t.Fatal("lookup found a cleared key")
-			}
-		})
-	}
+	t.Run("arena", func(t *testing.T) {
+		st := newTestStore(4)
+		if st.size() != 0 {
+			t.Fatalf("fresh store size %d", st.size())
+		}
+		if _, ok := st.lookup(7); ok {
+			t.Fatal("lookup on empty store succeeded")
+		}
+		obj, created := st.lookupOrCreate(7)
+		if !created {
+			t.Fatal("first lookupOrCreate did not create")
+		}
+		obj.(*countObj).n = 70
+		if again, created := st.lookupOrCreate(7); created || again != obj {
+			t.Fatal("second lookupOrCreate did not return the same object")
+		}
+		if got, ok := st.lookup(7); !ok || got != obj {
+			t.Fatal("lookup did not return the created object")
+		}
+		st.insert(7, &countObj{n: 1})
+		if got, _ := st.lookup(7); got.(*countObj).n != 1 {
+			t.Fatal("insert did not replace")
+		}
+		src := &countObj{n: 42}
+		c := st.insertClone(9, src)
+		if c == nil || c == RedObj(src) || c.(*countObj).n != 42 {
+			t.Fatalf("insertClone returned %v", c)
+		}
+		src.n = 0
+		if got, _ := st.lookup(9); got.(*countObj).n != 42 {
+			t.Fatal("insertClone aliased its source")
+		}
+		if st.size() != 2 {
+			t.Fatalf("size %d, want 2", st.size())
+		}
+		st.remove(7)
+		if _, ok := st.lookup(7); ok || st.size() != 1 {
+			t.Fatal("remove left the key visible")
+		}
+		st.remove(7) // idempotent
+		st.clear()
+		if st.size() != 0 {
+			t.Fatalf("size %d after clear", st.size())
+		}
+		if _, ok := st.lookup(9); ok {
+			t.Fatal("lookup found a cleared key")
+		}
+	})
 }
 
 func TestStoreReseedFlattenRoundTrip(t *testing.T) {
-	for _, impl := range storeImpls() {
-		t.Run(impl, func(t *testing.T) {
-			flat := CombMap{}
-			for k := -50; k < 50; k += 3 {
-				flat[k] = &countObj{n: int64(k)}
+	t.Run("arena", func(t *testing.T) {
+		flat := CombMap{}
+		for k := -50; k < 50; k += 3 {
+			flat[k] = &countObj{n: int64(k)}
+		}
+		st := newTestStore(5)
+		st.reseed(flat)
+		if st.size() != len(flat) {
+			t.Fatalf("size %d, want %d", st.size(), len(flat))
+		}
+		// reseed aliases, never clones.
+		for k, obj := range flat {
+			if got, ok := st.lookup(k); !ok || got != obj {
+				t.Fatalf("key %d not aliased", k)
 			}
-			st := newTestStore(t, impl, 5)
-			st.reseed(flat)
-			if st.size() != len(flat) {
-				t.Fatalf("size %d, want %d", st.size(), len(flat))
-			}
-			// reseed aliases, never clones.
-			for k, obj := range flat {
-				if got, ok := st.lookup(k); !ok || got != obj {
-					t.Fatalf("key %d not aliased", k)
-				}
-			}
-			// flattenInto refills the same map value.
-			dst := flat
-			st.insert(999, &countObj{n: 999})
-			st.flattenInto(dst)
-			if !reflect.DeepEqual(dst, flat) || len(dst) != 35 || dst[999].(*countObj).n != 999 {
-				t.Fatalf("flattenInto result has %d keys", len(dst))
-			}
-		})
-	}
+		}
+		// flattenInto refills the same map value.
+		dst := flat
+		st.insert(999, &countObj{n: 999})
+		st.flattenInto(dst)
+		if !reflect.DeepEqual(dst, flat) || len(dst) != 35 || dst[999].(*countObj).n != 999 {
+			t.Fatalf("flattenInto result has %d keys", len(dst))
+		}
+	})
 }
 
+// TestStoreOrderedKeys pins the canonical serialization order: the whole
+// store and each shard frame carry their keys in ascending order, and the
+// shard frames partition the store's key set.
 func TestStoreOrderedKeys(t *testing.T) {
-	keys := []int{31, -7, 0, 1024, 2, -900, 77, 78, 79}
-	for _, impl := range storeImpls() {
-		t.Run(impl, func(t *testing.T) {
-			st := newTestStore(t, impl, 3)
-			for _, k := range keys {
-				st.insert(k, &countObj{n: int64(k)})
+	t.Run("arena", func(t *testing.T) {
+		keys := []int{31, -7, 0, 1024, 2, -900, 77, 78, 79}
+		st := newTestStore(3)
+		for _, k := range keys {
+			st.insert(k, &countObj{n: int64(k)})
+		}
+		want := append([]int(nil), keys...)
+		sort.Ints(want)
+		if got := frameKeys(t, encodeStore(t, st)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("store frame keys = %v, want %v", got, want)
+		}
+		var all []int
+		for si := 0; si < st.numShards(); si++ {
+			buf, err := appendShardOf(nil, st, si)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := append([]int(nil), keys...)
-			sort.Ints(want)
-			if got := st.orderedKeys(nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("orderedKeys = %v, want %v", got, want)
+			sk := frameKeys(t, buf)
+			if !sort.IntsAreSorted(sk) {
+				t.Fatalf("shard %d keys not sorted: %v", si, sk)
 			}
-			// Shard keys partition the full key set and are each sorted.
-			var all []int
-			for si := 0; si < st.numShards(); si++ {
-				sk := st.orderedShardKeys(si, nil)
-				if !sort.IntsAreSorted(sk) {
-					t.Fatalf("shard %d keys not sorted: %v", si, sk)
-				}
-				if len(sk) != st.shardLen(si) {
-					t.Fatalf("shard %d: %d keys, shardLen %d", si, len(sk), st.shardLen(si))
-				}
-				all = append(all, sk...)
+			if len(sk) != st.shardLen(si) {
+				t.Fatalf("shard %d: %d keys, shardLen %d", si, len(sk), st.shardLen(si))
 			}
-			sort.Ints(all)
-			if !reflect.DeepEqual(all, want) {
-				t.Fatalf("shard keys union = %v, want %v", all, want)
-			}
-			// Capacity reuse: a big scratch comes back re-filled, not re-allocated.
-			scratch := make([]int, 0, 1024)
-			got := st.orderedKeys(scratch)
-			if !reflect.DeepEqual(got, want) || cap(got) != cap(scratch) {
-				t.Fatal("orderedKeys did not reuse the scratch capacity")
-			}
-		})
+			all = append(all, sk...)
+		}
+		sort.Ints(all)
+		if !reflect.DeepEqual(all, want) {
+			t.Fatalf("shard keys union = %v, want %v", all, want)
+		}
+	})
+}
+
+// frameKeys lists the keys of an encodeMap frame in frame order.
+func frameKeys(t testing.TB, buf []byte) []int {
+	t.Helper()
+	var keys []int
+	if err := walkEntries(buf, func(k int, _ []byte) error {
+		keys = append(keys, k)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
+	return keys
 }
 
 // TestArenaCompaction drives one shard through enough churn to force
@@ -240,30 +245,95 @@ func TestArenaSlab(t *testing.T) {
 	}
 }
 
-// storeOps applies a deterministic pseudo-random operation sequence to a
-// store; the differential tests run the same sequence against both
-// implementations and compare every observable.
-func storeOps(st redStore, seed int64, n int) {
+// storeOp is one operation of a differential sequence: kind selects remove,
+// insert, insertClone, clear, or (any other value) lookupOrCreate-and-add.
+type storeOp struct {
+	kind int
+	key  int
+	n    int64
+}
+
+// randomStoreOps builds a deterministic pseudo-random operation sequence.
+func randomStoreOps(seed int64, n int) []storeOp {
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		k := rng.Intn(200) - 100
-		switch rng.Intn(10) {
+	ops := make([]storeOp, n)
+	for i := range ops {
+		ops[i] = storeOp{kind: rng.Intn(10), key: rng.Intn(200) - 100, n: int64(i)}
+	}
+	return ops
+}
+
+// applyStoreOps runs ops against the arena and, in lockstep, against model —
+// a plain Go map with the same semantics, the reference the arena must match.
+func applyStoreOps(st *arenaStore, model CombMap, ops []storeOp) {
+	for _, op := range ops {
+		switch op.kind {
 		case 0:
-			st.remove(k)
+			st.remove(op.key)
+			delete(model, op.key)
 		case 1:
-			st.insert(k, &countObj{n: int64(i)})
+			st.insert(op.key, &countObj{n: op.n})
+			model[op.key] = &countObj{n: op.n}
 		case 2:
-			st.insertClone(k, &countObj{n: int64(-i)})
+			st.insertClone(op.key, &countObj{n: -op.n})
+			model[op.key] = &countObj{n: -op.n}
 		case 3:
 			st.clear()
+			clear(model)
 		default:
-			obj, _ := st.lookupOrCreate(k)
-			obj.(*countObj).n += int64(k)
+			obj, _ := st.lookupOrCreate(op.key)
+			obj.(*countObj).n += op.n
+			m, ok := model[op.key]
+			if !ok {
+				m = &countObj{}
+				model[op.key] = m
+			}
+			m.(*countObj).n += op.n
 		}
 	}
 }
 
-func encodeStore(t testing.TB, st redStore) []byte {
+// checkStoreAgainstModel requires every observable of st — size, per-shard
+// sizes, per-shard and whole-store encodings — to match the map model.
+func checkStoreAgainstModel(t testing.TB, st *arenaStore, model CombMap) {
+	t.Helper()
+	if st.size() != len(model) {
+		t.Fatalf("size %d, model %d", st.size(), len(model))
+	}
+	shards := make([]CombMap, st.numShards())
+	for i := range shards {
+		shards[i] = CombMap{}
+	}
+	for k, obj := range model {
+		shards[shardIndex(k, len(shards))][k] = obj
+	}
+	for si, want := range shards {
+		if st.shardLen(si) != len(want) {
+			t.Fatalf("shard %d: len %d, model %d", si, st.shardLen(si), len(want))
+		}
+		got, err := appendShardOf(nil, st, si)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wb := encodeModel(t, want); !bytes.Equal(got, wb) {
+			t.Fatalf("shard %d encoding differs from the model", si)
+		}
+	}
+	if !bytes.Equal(encodeStore(t, st), encodeModel(t, model)) {
+		t.Fatal("whole-store encoding differs from the model")
+	}
+}
+
+func encodeModel(t testing.TB, m CombMap) []byte {
+	t.Helper()
+	buf, err := encodeMap(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+func encodeStore(t testing.TB, st *arenaStore) []byte {
 	t.Helper()
 	buf, err := appendStore(nil, st)
 	if err != nil {
@@ -274,44 +344,26 @@ func encodeStore(t testing.TB, st redStore) []byte {
 
 func TestStoreDifferentialRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		g := newTestStore(t, MapGo, 7)
-		a := newTestStore(t, MapArena, 7)
-		storeOps(g, seed, 500)
-		storeOps(a, seed, 500)
-		if g.size() != a.size() {
-			t.Fatalf("seed %d: sizes %d vs %d", seed, g.size(), a.size())
-		}
-		for si := 0; si < 7; si++ {
-			if g.shardLen(si) != a.shardLen(si) {
-				t.Fatalf("seed %d: shard %d lens %d vs %d", seed, si, g.shardLen(si), a.shardLen(si))
-			}
-			gb, err := appendShardOf(nil, g, si)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ab, err := appendShardOf(nil, a, si)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gb, ab) {
-				t.Fatalf("seed %d: shard %d encodes differ", seed, si)
-			}
-		}
-		if !bytes.Equal(encodeStore(t, g), encodeStore(t, a)) {
-			t.Fatalf("seed %d: whole-store encodes differ", seed)
-		}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			st, model := newTestStore(7), CombMap{}
+			applyStoreOps(st, model, randomStoreOps(seed, 500))
+			checkStoreAgainstModel(t, st, model)
+		})
 	}
 }
 
-// TestSchedulerArenaByteIdentical runs the same workload under both map
-// implementations and both engines; the encoded combination maps must match
-// byte for byte — the store is invisible to results and wire format.
+// TestSchedulerArenaByteIdentical runs the same two-iteration workload on
+// both engines with four combine shards; the encoded combination map must
+// match the serial pipeline (static engine, one shard) byte for byte. The
+// reference keeps the thread count: the distribution step seeds every
+// thread's store with the combination map, so with a non-idempotent Merge
+// the second iteration's result depends on NumThreads by design.
 func TestSchedulerArenaByteIdentical(t *testing.T) {
 	in := histInput(4000)
-	encode := func(impl, engine string) []byte {
+	encode := func(engine string, shards int) []byte {
 		s := MustNewScheduler[int, int64](bucketApp{width: 3},
-			SchedArgs{NumThreads: 4, ChunkSize: 1, NumIters: 2, CombineShards: 4,
-				Engine: engine, MapImpl: impl})
+			SchedArgs{NumThreads: 4, ChunkSize: 1, NumIters: 2, CombineShards: shards,
+				Engine: engine})
 		out := make([]int64, 34)
 		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
@@ -322,68 +374,35 @@ func TestSchedulerArenaByteIdentical(t *testing.T) {
 		}
 		return buf
 	}
+	ref := encode(EngineStatic, 1)
 	for _, engine := range []string{EngineStatic, EngineStealing} {
-		ref := encode(MapGo, engine)
-		if got := encode(MapArena, engine); !bytes.Equal(got, ref) {
-			t.Errorf("engine %s: arena encoding differs from gomap", engine)
+		if got := encode(engine, 4); !bytes.Equal(got, ref) {
+			t.Errorf("engine %s: encoding differs from the serial pipeline", engine)
 		}
 	}
 }
 
-// FuzzStoreRoundTrip drives both store implementations through a fuzzed
-// operation sequence and requires identical observable state, then checks the
-// canonical encoding survives a decode/re-encode round trip.
+// FuzzStoreRoundTrip drives the arena through a fuzzed operation sequence
+// beside a plain map model and requires identical observable state, then
+// checks the canonical encoding survives a decode/re-encode round trip.
 func FuzzStoreRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(3))
 	f.Add([]byte{0xff, 0x00, 0x41, 0x41, 0x10, 0x80, 7, 7, 7}, uint8(1))
 	f.Add(bytes.Repeat([]byte{5, 250, 17}, 40), uint8(8))
-	f.Fuzz(func(t *testing.T, ops []byte, nsh uint8) {
-		nshards := int(nsh%8) + 1
-		g := newRedStore(MapGo, nshards, func() RedObj { return &countObj{} })
-		a := newRedStore(MapArena, nshards, func() RedObj { return &countObj{} })
-		apply := func(st redStore) {
-			for i := 0; i+1 < len(ops); i += 2 {
-				k := int(int8(ops[i+1])) * 3
-				switch ops[i] % 8 {
-				case 0:
-					st.remove(k)
-				case 1:
-					st.insert(k, &countObj{n: int64(i)})
-				case 2:
-					st.insertClone(k, &countObj{n: int64(i) * 7})
-				case 3:
-					st.clear()
-				default:
-					obj, _ := st.lookupOrCreate(k)
-					obj.(*countObj).n += int64(k + i)
-				}
-			}
+	f.Fuzz(func(t *testing.T, raw []byte, nsh uint8) {
+		var ops []storeOp
+		for i := 0; i+1 < len(raw); i += 2 {
+			ops = append(ops, storeOp{kind: int(raw[i] % 8), key: int(int8(raw[i+1])) * 3, n: int64(i)})
 		}
-		apply(g)
-		apply(a)
-		if g.size() != a.size() {
-			t.Fatalf("sizes %d vs %d", g.size(), a.size())
-		}
-		gb, err := appendStore(nil, g)
+		st, model := newTestStore(int(nsh%8)+1), CombMap{}
+		applyStoreOps(st, model, ops)
+		checkStoreAgainstModel(t, st, model)
+		enc := encodeStore(t, st)
+		m, err := decodeMap(enc, func() RedObj { return &countObj{} })
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, err := appendStore(nil, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gb, ab) {
-			t.Fatal("store encodes differ")
-		}
-		m, err := decodeMap(gb, func() RedObj { return &countObj{} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := encodeMap(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rt, gb) {
+		if !bytes.Equal(encodeModel(t, m), enc) {
 			t.Fatal("decode/re-encode round trip changed bytes")
 		}
 	})

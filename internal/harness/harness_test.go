@@ -169,11 +169,40 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
-func TestFig8Shape(t *testing.T) {
-	res, err := Fig8(Small)
+// minOfRuns runs a figure at Small scale n times and returns the first run's
+// result with every completed point's Y lowered to its minimum across the
+// runs. Shape tests compare wall-clock ratios, and at Small scale one sample
+// is at the mercy of whatever else the host runs (other test packages
+// included); the minimum is the least noisy estimate of a point's cost.
+func minOfRuns(t *testing.T, n int, fig func(Scale) (*Result, error)) *Result {
+	t.Helper()
+	best, err := fig(Small)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := 1; i < n; i++ {
+		res, err := fig(Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si := range best.Series {
+			s := res.SeriesByName(best.Series[si].Name)
+			if s == nil {
+				continue
+			}
+			for pi := range best.Series[si].Points {
+				p := &best.Series[si].Points[pi]
+				if y, ok := s.YAt(p.X); ok && !p.Crashed && y < p.Y {
+					p.Y = y
+				}
+			}
+		}
+	}
+	return best
+}
+
+func TestFig8Shape(t *testing.T) {
+	res := minOfRuns(t, 5, Fig8)
 	if len(res.Series) != 9 {
 		t.Fatalf("want 9 applications, got %d", len(res.Series))
 	}
@@ -261,10 +290,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11aShape(t *testing.T) {
-	res, err := Fig11a(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := minOfRuns(t, 5, Fig11a)
 	trig := res.SeriesByName("with trigger (Smart)")
 	plain := res.SeriesByName("no trigger")
 	if trig == nil || plain == nil {

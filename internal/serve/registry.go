@@ -104,9 +104,6 @@ type JobSpec struct {
 	// Engine selects the scheduler's execution engine ("static" or
 	// "stealing"); empty uses the scheduler default (static).
 	Engine string `json:"engine,omitempty"`
-	// MapImpl selects the scheduler's reduction-store implementation
-	// ("gomap" or "arena"); empty uses the scheduler default (gomap).
-	MapImpl string `json:"map_impl,omitempty"`
 	// Tenant attributes the job to a client: it selects the fair-queueing
 	// weight/quota/class the job is admitted under and becomes the
 	// "tenant" pprof label on everything the job's goroutines do.
@@ -156,12 +153,6 @@ func (s *JobSpec) normalize() error {
 	default:
 		return fmt.Errorf("serve: unknown engine %q (have %q, %q)",
 			s.Engine, core.EngineStatic, core.EngineStealing)
-	}
-	switch s.MapImpl {
-	case "", core.MapGo, core.MapArena:
-	default:
-		return fmt.Errorf("serve: unknown map implementation %q (have %q, %q)",
-			s.MapImpl, core.MapGo, core.MapArena)
 	}
 	if len(s.Tenant) > 128 {
 		return fmt.Errorf("serve: tenant name longer than 128 bytes")
@@ -465,7 +456,7 @@ func buildHistogram(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgr
 	}
 	app := analytics.NewHistogram(lo, hi, buckets)
 	sched, err := core.NewScheduler[float64, int64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -492,7 +483,7 @@ func buildGridAgg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram
 	cells := (spec.Elems + gs - 1) / gs
 	app := analytics.NewGridAgg(gs, 0)
 	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -519,7 +510,7 @@ func buildMoments(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram
 	cells := (spec.Elems + gs - 1) / gs
 	app := analytics.NewMoments(gs, 0)
 	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -551,7 +542,7 @@ func buildMutualInfo(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProg
 	}
 	app := analytics.NewMutualInfo(lo, hi, buckets, lo, hi, buckets)
 	sched, err := core.NewScheduler[float64, int64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 2, NumIters: 1, Mem: mem, Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 2, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -594,7 +585,7 @@ func buildLogReg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram,
 	}
 	app := analytics.NewLogReg(dims, rate)
 	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: rec, NumIters: iters, Mem: mem, Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: rec, NumIters: iters, Mem: mem, Engine: spec.Engine, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -636,7 +627,7 @@ func buildKMeans(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram,
 	lo, hi := rangeOr(p)
 	app := analytics.NewKMeans(k, dims)
 	sched, err := core.NewScheduler[float64, []float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: dims, NumIters: iters, Mem: mem, Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: dims, NumIters: iters, Mem: mem, Engine: spec.Engine, Comm: comm,
 		Extra: initCentroids(k, dims, lo, hi),
 	})
 	if err != nil {
@@ -701,7 +692,7 @@ func buildWindow(kind string) builder {
 			return nil, fmt.Errorf("serve: unknown window app %q", kind)
 		}
 		sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
 		})
 		if err != nil {
 			return nil, err
@@ -752,7 +743,7 @@ func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*j
 		},
 		Args: core.SchedArgs{
 			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem,
-			Engine: spec.Engine, MapImpl: spec.MapImpl, Comm: comm,
+			Engine: spec.Engine, Comm: comm,
 		},
 		OutLen: func(int) int { return cells },
 	})
@@ -859,7 +850,7 @@ func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*j
 			}
 			sched, err := core.NewScheduler[float64, int64](analytics.NewHistogram(lo, hi, buckets), core.SchedArgs{
 				NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem,
-				Engine: spec.Engine, MapImpl: spec.MapImpl,
+				Engine: spec.Engine,
 			})
 			if err != nil {
 				return nil, err

@@ -565,6 +565,32 @@ func TestJobEngineSelection(t *testing.T) {
 	}
 }
 
+// TestSpecIgnoresRetiredMapImpl: "map_impl" is no longer a job field. Specs
+// written for servers that still had it are accepted and run whatever value
+// they carry — the spec decoder ignores unknown fields.
+func TestSpecIgnoresRetiredMapImpl(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, impl := range []string{"gomap", "arena", "no-such-store"} {
+		body := fmt.Sprintf(`{"app":"histogram","elems":4096,"map_impl":%q}`, impl)
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view JobView
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || view.Status != StatusDone {
+			t.Errorf("map_impl %q: status %d, job %q (%s), want 200 and done",
+				impl, resp.StatusCode, view.Status, view.Error)
+		}
+	}
+}
+
 // strippedResult marshals a terminal job's result with the non-deterministic
 // "stats" block (timings) removed, for byte-level comparison across runs.
 func strippedResult(t *testing.T, j *Job) []byte {

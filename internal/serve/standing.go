@@ -72,7 +72,7 @@ func latePolicyOf(p Params) (stream.LatePolicy, error) {
 func standingCombiner(spec JobSpec, mem *memmodel.Node) (stream.Combiner, error) {
 	args := core.SchedArgs{
 		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem,
-		Engine: spec.Engine, MapImpl: spec.MapImpl,
+		Engine: spec.Engine,
 	}
 	p := spec.Params
 	switch spec.App {

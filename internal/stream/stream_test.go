@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -32,12 +31,9 @@ func stepEvents(times []int64, elemsPer int) []Event {
 func schedMatrix() []core.SchedArgs {
 	var args []core.SchedArgs
 	for _, eng := range []string{core.EngineStatic, core.EngineStealing} {
-		for _, impl := range []string{core.MapGo, core.MapArena} {
-			args = append(args, core.SchedArgs{
-				NumThreads: 2, ChunkSize: 1, NumIters: 1, CombineShards: 4,
-				Engine: eng, MapImpl: impl,
-			})
-		}
+		args = append(args, core.SchedArgs{
+			NumThreads: 2, ChunkSize: 1, NumIters: 1, CombineShards: 4, Engine: eng,
+		})
 	}
 	return args
 }
@@ -108,7 +104,9 @@ func expectedWindows(spec WindowSpec, evs []Event) map[Window][]float64 {
 // runOracle streams evs through a one-stage pipeline and checks every fired
 // window against a brute-force batch recomputation: same window set, and
 // per window a byte-identical combination map plus equal converted output
-// from a fresh scheduler over exactly that window's elements.
+// from a fresh serial-pipeline scheduler (static engine, one combine shard,
+// the same thread count, so FP partials group identically) over exactly that
+// window's elements.
 func runOracle[Out any](t *testing.T, opts SchedOptions[Out], spec WindowSpec, evs []Event) {
 	t.Helper()
 	opts.Result = func(s *core.Scheduler[float64, Out], out []Out) (any, error) {
@@ -159,7 +157,9 @@ func runOracle[Out any](t *testing.T, opts SchedOptions[Out], spec WindowSpec, e
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := core.MustNewScheduler[float64, Out](app, opts.Args)
+		serial := opts.Args
+		serial.Engine, serial.CombineShards = core.EngineStatic, 1
+		fresh := core.MustNewScheduler[float64, Out](app, serial)
 		outLen := 0
 		if opts.OutLen != nil {
 			outLen = opts.OutLen(len(elems))
@@ -238,7 +238,7 @@ func TestOracle(t *testing.T) {
 	for _, args := range schedMatrix() {
 		for _, sc := range specs {
 			evs := stepEvents(sc.times, 64)
-			label := fmt.Sprintf("%s/%s/%s", args.Engine, args.MapImpl, sc.name)
+			label := args.Engine + "/" + sc.name
 			t.Run("histogram/"+label, func(t *testing.T) { runOracle(t, histOpts(args), sc.spec, evs) })
 			if args.Engine == core.EngineStealing {
 				// Steals regroup floating-point arithmetic, so two

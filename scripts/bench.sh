@@ -1,26 +1,22 @@
 #!/usr/bin/env bash
 # bench.sh — run the combination-pipeline benchmarks and emit
 # BENCH_combine.json with ns/op and allocs/op for the local combine
-# (serial reference vs sharded, at 1/4/8 threads) and the global combine
-# (legacy decode-both-reencode tree vs sharded decode-once streamed tree
-# on a 4-rank in-process world) and the per-codec global combine
-# (none/flate/block over a real TCP world, recording raw and on-wire bytes
-# per op alongside ns/op), then run the execution-engine benchmarks
-# (static vs work-stealing schedule on skewed and uniform workloads) and
-# emit BENCH_schedule.json with ns/op plus the per-run steal and batch
-# counters. Both files record the host's core count: engine speedups only
-# materialize with more cores than one. Then run the observability
-# benchmarks (scheduler overhead with tracing off/on/flight-recorded, plus
-# the raw span-record costs) and emit BENCH_obs.json — the "disabled path
-# stays zero-overhead" record for the tracing subsystem. Then run the
-# reduction-store ablation (the same iterative map phase under the gomap
-# baseline and the arena store) and emit BENCH_mapphase.json with ns/op,
-# allocs/op, and bytes/op — the allocation record for SchedArgs.MapImpl.
-# Lastly run the streaming-layer benchmarks (one fired tumbling window per
-# op: warm reseed vs per-window scheduler rebuild vs the bare operator
-# layer) and emit BENCH_stream.json with ns/op, allocs/op, windows/sec, and
-# the mean per-window firing latency — the amortization record for
-# RunWindowContext.
+# (serial reference vs sharded, at 1/4/8 threads), the global combine
+# (sharded decode-once streamed tree on a 4-rank in-process world) and the
+# per-codec global combine (none/flate/block over a real TCP world,
+# recording raw and on-wire bytes per op alongside ns/op), then run the
+# execution-engine benchmarks (static vs work-stealing schedule on skewed
+# and uniform workloads) and emit BENCH_schedule.json with ns/op plus the
+# per-run steal and batch counters. Both files record the host's core
+# count: engine speedups only materialize with more cores than one. Then
+# run the observability benchmarks (scheduler overhead with tracing
+# off/on/flight-recorded, plus the raw span-record costs) and emit
+# BENCH_obs.json — the "disabled path stays zero-overhead" record for the
+# tracing subsystem. Lastly run the streaming-layer benchmarks (one fired
+# tumbling window per op: warm reseed vs per-window scheduler rebuild vs
+# the bare operator layer) and emit BENCH_stream.json with ns/op,
+# allocs/op, windows/sec, and the mean per-window firing latency — the
+# amortization record for RunWindowContext.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=2s scripts/bench.sh   # longer, more stable timings
@@ -130,37 +126,6 @@ END {
 }' "$raw" > "$obs_out"
 
 echo "wrote $obs_out"
-
-map_out="BENCH_mapphase.json"
-go test ./internal/analytics/ -run '^$' -bench 'BenchmarkMapPhase' -benchmem \
-  -benchtime "$benchtime" | tee "$raw"
-
-awk -v cores="$(nproc 2>/dev/null || echo 1)" -v benchtime="$benchtime" '
-/^BenchmarkMapPhase/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)            # strip the -GOMAXPROCS suffix
-    ns = ""; allocs = ""; bytes = ""
-    for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")     ns = $(i - 1)
-        if ($i == "allocs/op") allocs = $(i - 1)
-        if ($i == "B/op")      bytes = $(i - 1)
-    }
-    if (ns != "" && allocs != "") {
-        entries[++n] = sprintf("    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s, \"bytes_per_op\": %s}",
-                               name, ns, allocs, bytes == "" ? 0 : bytes)
-    }
-}
-END {
-    printf "{\n"
-    printf "  \"cores\": %s,\n", cores
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"results\": {\n"
-    for (i = 1; i <= n; i++) printf "%s%s\n", entries[i], (i < n ? "," : "")
-    printf "  }\n"
-    printf "}\n"
-}' "$raw" > "$map_out"
-
-echo "wrote $map_out"
 
 stream_out="BENCH_stream.json"
 go test ./internal/stream/ -run '^$' -bench 'BenchmarkStream' -benchmem \
