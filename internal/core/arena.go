@@ -48,8 +48,7 @@ type arenaShard struct {
 // engine: everything between the scheduler and the bytes — lookup-or-insert
 // on the reduction hot path, the clone-seed of the per-iteration distribution
 // step, the shard-parallel combine-into, per-shard iteration for the
-// canonical serialization, and the flat-view resync at application
-// boundaries.
+// canonical serialization, and the flat views handed to application code.
 //
 // Per shard it keeps a Fibonacci-hashed open-addressing index plus a
 // contiguous arena of reduction objects: no per-key map-entry allocation,
@@ -326,7 +325,9 @@ func (a *arenaStore) clear() {
 	}
 }
 
-// reseed replaces the contents with flat's entries (aliased, not cloned).
+// reseed replaces the contents with flat's entries (aliased, not cloned). It
+// is the only way a flat map flows back into a store: after application code
+// mutated a view, reseed takes in every inserted, deleted, or replaced key.
 func (a *arenaStore) reseed(flat CombMap) {
 	a.clear()
 	for k, obj := range flat {
@@ -334,20 +335,14 @@ func (a *arenaStore) reseed(flat CombMap) {
 	}
 }
 
-// flattenInto rebuilds the flat view in dst, preserving dst's identity
-// (holders of CombinationMap keep seeing current state). dst's capacity is
-// retained across the clear+refill, so steady-state resyncs do not re-grow
-// it.
-func (a *arenaStore) flattenInto(dst CombMap) {
-	clear(dst)
+// view returns a new flat map of the live entries. The map is the caller's;
+// its values alias the store's objects.
+func (a *arenaStore) view() CombMap {
+	m := make(CombMap, a.size())
 	for i := range a.shards {
-		sh := &a.shards[i]
-		for slot, obj := range sh.objs {
-			if obj != nil {
-				dst[sh.keys[slot]] = obj
-			}
-		}
+		a.forEachIn(i, func(k int, obj RedObj) { m[k] = obj })
 	}
+	return m
 }
 
 // forEachIn calls fn for every live entry of shard si, in insertion order.

@@ -54,18 +54,9 @@ func (s *Scheduler[In, Out]) WriteCheckpointEnc(path string, enc codec.Encoding)
 		s.met.encBufReuse.Add(1)
 	}
 	defer putEncBuf(bufp)
-	// Encode from the sharded store when it is in sync with the flat map —
-	// the common steady state between Runs — and from the flat map otherwise.
-	// Both produce identical bytes (canonical ascending-key framing); reading
-	// whichever view is current keeps this path strictly read-only, which
-	// concurrent checkpoint writers to different paths rely on.
-	var raw []byte
-	var err error
-	if s.storeFresh {
-		raw, err = appendStore((*bufp)[:0], s.store)
-	} else {
-		raw, err = appendMap((*bufp)[:0], s.comMap)
-	}
+	// appendStore only reads the store, which concurrent checkpoint writers
+	// to different paths rely on.
+	raw, err := appendStore((*bufp)[:0], s.store)
 	*bufp = raw
 	if err != nil {
 		return fmt.Errorf("core: checkpoint encode: %w", err)
@@ -141,7 +132,8 @@ func (s *Scheduler[In, Out]) WriteCheckpointEnc(path string, enc codec.Encoding)
 // ReadCheckpoint replaces the scheduler's accumulated state with a
 // previously saved one, accepting both the raw SMARTCK1 format and the
 // encoded SMARTCK2 format regardless of how this scheduler is configured to
-// write. Beyond swapping in the decoded combination map it resets the
+// write. A file that fails to decode leaves the state untouched. Beyond
+// swapping in the decoded combination map it resets the
 // per-Run statistics, so counters from a partial run before the restore
 // cannot leak into post-restore accounting. Per-thread reduction maps and
 // iteration counters need no reset: both are created fresh at the start of
@@ -156,12 +148,11 @@ func (s *Scheduler[In, Out]) ReadCheckpoint(path string) error {
 	if err != nil {
 		return err
 	}
-	m, err := decodeMap(image, s.app.NewRedObj)
+	st, err := decodeStore(image, s.store.numShards(), s.newObj)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint decode: %w", err)
 	}
-	s.comMap = m
-	s.storeFresh = false
+	s.store = st
 	s.stats = Stats{}
 	return nil
 }

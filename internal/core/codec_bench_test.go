@@ -145,8 +145,7 @@ func BenchmarkCombineCodec(b *testing.B) {
 				func(r int) error { return scheds[r].globalCombine() },
 				func() {
 					for _, s := range scheds {
-						s.comMap = cloneMap(histTemplate)
-						s.storeFresh = false
+						s.store.reseed(cloneMap(histTemplate))
 					}
 				})
 		})
@@ -165,8 +164,7 @@ func BenchmarkCombineCodec(b *testing.B) {
 				func(r int) error { return scheds[r].globalCombine() },
 				func() {
 					for _, s := range scheds {
-						s.comMap = cloneMap(kmTemplate)
-						s.storeFresh = false
+						s.store.reseed(cloneMap(kmTemplate))
 					}
 				})
 		})

@@ -44,7 +44,7 @@ func TestEncBufPoolCapDoesNotRatchet(t *testing.T) {
 
 func TestCheckpointEncodedRoundTrip(t *testing.T) {
 	s := bigStateScheduler(t)
-	wantRaw, err := encodeMap(s.CombinationMap())
+	wantRaw, err := s.EncodeCombinationMap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCheckpointEncodedRoundTrip(t *testing.T) {
 		if err := restored.ReadCheckpoint(ck); err != nil {
 			t.Fatalf("%s restore: %v", e, err)
 		}
-		gotRaw, err := encodeMap(restored.CombinationMap())
+		gotRaw, err := restored.EncodeCombinationMap()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestDistributedCombineByteIdenticalAcrossCodecs(t *testing.T) {
 					t.Errorf("rank %d: %v", r, err)
 					return
 				}
-				state, err := encodeMap(s.CombinationMap())
+				state, err := s.EncodeCombinationMap()
 				if err != nil {
 					t.Errorf("rank %d: %v", r, err)
 					return

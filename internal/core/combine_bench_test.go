@@ -82,12 +82,7 @@ func BenchmarkGlobalCombine(b *testing.B) {
 		}
 		reset := func() {
 			for _, s := range scheds {
-				m := make(CombMap, keys)
-				for k, obj := range template {
-					m[k] = obj.Clone()
-				}
-				s.comMap = m
-				s.storeFresh = false
+				s.store.reseed(cloneMap(template))
 			}
 		}
 		b.ReportAllocs()

@@ -59,7 +59,9 @@ type Sized interface {
 }
 
 // CombMap is a combination (or reduction) map: reduction objects keyed by
-// the integer keys the application generates.
+// the integer keys the application generates. The runtime keeps its own
+// sharded store; a CombMap handed to application code is a view of it — a
+// new map whose values are the runtime's objects.
 type CombMap = map[int]RedObj
 
 // Analytics is the application-facing API (the paper's "functions
@@ -70,7 +72,9 @@ type Analytics[In, Out any] interface {
 	// uses it both to lazily create objects for unseen keys and to decode
 	// serialized maps during global combination.
 	NewRedObj() RedObj
-	// GenKey generates the single key for a unit chunk (gen_key).
+	// GenKey generates the single key for a unit chunk (gen_key). com is a
+	// read-only view of the combination map as of the start of the
+	// iteration, shared by every reduction thread.
 	GenKey(c chunk.Chunk, data []In, com CombMap) int
 	// Accumulate folds the unit chunk into the reduction object (accumulate).
 	Accumulate(c chunk.Chunk, data []In, obj RedObj)
@@ -81,7 +85,9 @@ type Analytics[In, Out any] interface {
 // MultiKeyer is implemented by applications whose unit chunks map to
 // multiple keys (gen_keys; the flatmap-like path used by run2 for
 // window-based analytics). GenKeys appends to keys and returns the extended
-// slice so the runtime can reuse one buffer across chunks.
+// slice so the runtime can reuse one buffer across chunks. com is the same
+// read-only view of the combination map as of the start of the iteration
+// that GenKey receives.
 type MultiKeyer[In any] interface {
 	GenKeys(c chunk.Chunk, data []In, com CombMap, keys []int) []int
 }
@@ -100,7 +106,8 @@ type PositionalAccumulator[In any] interface {
 
 // ExtraDataProcessor is implemented by applications that initialize the
 // combination map from extra input (process_extra_data), e.g. the initial
-// centroids of k-means.
+// centroids of k-means. com is a view of the combination map; keys the call
+// inserts, deletes, or replaces in it are taken in after it returns.
 type ExtraDataProcessor interface {
 	ProcessExtraData(extra any, com CombMap)
 }
@@ -110,6 +117,8 @@ type ExtraDataProcessor interface {
 // recomputing centroids from sums and counts. Implementations that seed
 // per-iteration state through the combination map must reset their
 // accumulator fields here, exactly as the paper's k-means update() does.
+// Like ProcessExtraData, com is a view; key changes are taken in after the
+// call.
 type PostCombiner interface {
 	PostCombine(com CombMap)
 }
@@ -181,12 +190,6 @@ type SchedArgs struct {
 	// identical under both; see docs/ARCHITECTURE.md ("Execution engine")
 	// for the exact determinism guarantees.
 	Engine string
-	// PinThreads dedicates an OS thread to every reduction worker for the
-	// duration of its split (runtime.LockOSThread), the Go analogue of the
-	// paper's per-core thread binding; the OS scheduler then keeps each
-	// thread on its core. Core-numbered affinity masks would need
-	// platform-specific syscalls, which this stdlib-only build avoids.
-	PinThreads bool
 	// Obs is the observability sink for phase spans and runtime metrics
 	// (reduction-map sizes, keys touched, early emissions, serialized
 	// bytes). Nil means obs.Default(), so instrumentation is always on; the
@@ -257,16 +260,12 @@ type feedItem[In any] struct {
 type Scheduler[In, Out any] struct {
 	app        Analytics[In, Out]
 	args       SchedArgs
-	comMap     CombMap
 	globalComb bool
-	// store is the sharded working view of comMap driving the parallel
-	// combination pipeline. It aliases comMap's objects; storeFresh records
-	// whether the two views are currently in sync (application code —
-	// ProcessExtraData, PostCombine, arbitrary callers of CombinationMap
-	// between Runs — only ever mutates the flat view, so the scheduler
-	// reseeds lazily at the phase boundaries that need the sharded form).
-	store      *arenaStore
-	storeFresh bool
+	// store is the combination map, sharded for the parallel combination
+	// pipeline. It is the only copy: application code receives flat views
+	// (store.view) and hooks that mutate keys are taken back in with
+	// store.reseed.
+	store *arenaStore
 	// newObj is app.NewRedObj bound once, so store factories and decode
 	// paths never rebuild the method value.
 	newObj func() RedObj
@@ -328,7 +327,6 @@ func NewScheduler[In, Out any](app Analytics[In, Out], args SchedArgs) (*Schedul
 	s := &Scheduler[In, Out]{
 		app:        app,
 		args:       a,
-		comMap:     make(CombMap),
 		newObj:     app.NewRedObj,
 		globalComb: true,
 		buf:        ringbuf.New[feedItem[In]](a.BufferCells),
@@ -376,35 +374,19 @@ func MustNewScheduler[In, Out any](app Analytics[In, Out], args SchedArgs) *Sche
 // pipelines of Smart jobs.
 func (s *Scheduler[In, Out]) SetGlobalCombination(on bool) { s.globalComb = on }
 
-// CombinationMap exposes the combination map (the paper's
+// CombinationMap returns a snapshot of the combination map (the paper's
 // get_combination_map). After a Run with global combination it holds the
-// global result on every process.
-func (s *Scheduler[In, Out]) CombinationMap() CombMap { return s.comMap }
+// global result on every process. The map is new on every call and its
+// values are the scheduler's own objects: changing an object's state is
+// visible to the scheduler, but adding or removing keys in the returned map
+// is not. Every caller in this repository only reads it.
+func (s *Scheduler[In, Out]) CombinationMap() CombMap { return s.store.view() }
 
 // ResetCombinationMap clears accumulated state so the scheduler can be
 // reused for an unrelated time-step, mirroring Listing 1's fresh scheduler
-// per time-step without reallocating the runtime.
-func (s *Scheduler[In, Out]) ResetCombinationMap() {
-	s.comMap = make(CombMap)
-	s.storeFresh = false
-}
-
-// RecycleCombinationMap clears accumulated state like ResetCombinationMap
-// but keeps every allocation the previous run built up: the flat map's
-// buckets and the sharded store's index, arena, and slabs are cleared in
-// place rather than dropped. This is the re-entrant per-window entry point
-// the streaming layer (internal/stream) runs on — a standing query fires
-// many windows through one scheduler, and recycling keeps the per-window
-// cost at clear-and-reuse instead of reallocate-and-reseed. Output is
-// identical either way; only the allocation profile differs.
-func (s *Scheduler[In, Out]) RecycleCombinationMap() {
-	clear(s.comMap)
-	s.store.clear()
-	// The two views are both empty, hence in sync; the next run's initial
-	// syncStore is forced regardless (run marks the flat view dirty), but
-	// reseeding an empty map into a cleared store allocates nothing.
-	s.storeFresh = true
-}
+// per time-step without reallocating the runtime: the store's index, arena,
+// and slabs are cleared in place and reused by the next run.
+func (s *Scheduler[In, Out]) ResetCombinationMap() { s.store.clear() }
 
 // Stats returns counters describing the most recent Run.
 //

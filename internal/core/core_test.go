@@ -663,24 +663,27 @@ func TestInvalidSchedArgs(t *testing.T) {
 
 func TestMapCodecRoundtrip(t *testing.T) {
 	f := func(keys []int16, vals []int64) bool {
-		m := make(CombMap)
+		st := newTestStore(3)
+		want := make(map[int]int64)
 		for i, k := range keys {
 			if i >= len(vals) {
 				break
 			}
-			m[int(k)] = &countObj{n: vals[i]}
+			st.insert(int(k), &countObj{n: vals[i]})
+			want[int(k)] = vals[i]
 		}
-		buf, err := encodeMap(m)
+		buf, err := appendStore(nil, st)
 		if err != nil {
 			return false
 		}
-		got, err := decodeMap(buf, func() RedObj { return &countObj{} })
-		if err != nil || len(got) != len(m) {
+		// Decode into a different shard count: the frame does not carry it.
+		got, err := decodeStore(buf, 5, func() RedObj { return &countObj{} })
+		if err != nil || got.size() != len(want) {
 			return false
 		}
-		for k, obj := range m {
-			g, ok := got[k]
-			if !ok || g.(*countObj).n != obj.(*countObj).n {
+		for k, n := range want {
+			g, ok := got.lookup(k)
+			if !ok || g.(*countObj).n != n {
 				return false
 			}
 		}
@@ -693,16 +696,17 @@ func TestMapCodecRoundtrip(t *testing.T) {
 
 func TestMapCodecErrors(t *testing.T) {
 	factory := func() RedObj { return &countObj{} }
-	if _, err := decodeMap(nil, factory); err == nil {
-		t.Error("decodeMap accepted empty buffer")
+	if _, err := decodeStore(nil, 1, factory); err == nil {
+		t.Error("decodeStore accepted empty buffer")
 	}
-	if _, err := decodeMap([]byte{2, 0, 0, 0}, factory); err == nil {
-		t.Error("decodeMap accepted truncated entries")
+	if _, err := decodeStore([]byte{2, 0, 0, 0}, 1, factory); err == nil {
+		t.Error("decodeStore accepted truncated entries")
 	}
-	m := CombMap{1: &countObj{n: 5}}
-	buf, _ := encodeMap(m)
-	if _, err := decodeMap(append(buf, 0xFF), factory); err == nil {
-		t.Error("decodeMap accepted trailing bytes")
+	st := newTestStore(1)
+	st.insert(1, &countObj{n: 5})
+	buf := encodeStore(t, st)
+	if _, err := decodeStore(append(buf, 0xFF), 1, factory); err == nil {
+		t.Error("decodeStore accepted trailing bytes")
 	}
 }
 

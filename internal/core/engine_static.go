@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +50,7 @@ func (e *staticEngine[In, Out]) reduceBlock(block chunk.Split, env *runEnv[In, O
 	if s.args.Sequential || nt == 1 {
 		for t, sp := range splits {
 			start := time.Now()
-			err := s.processSplit(sp, env.in, env.out, e.redMaps[t], env.multi, env.live, env.tracker)
+			err := s.processSplit(sp, e.redMaps[t], env)
 			d := time.Since(start)
 			s.stats.SplitTimes[t] += d
 			s.stats.ReductionTime += d
@@ -69,13 +68,9 @@ func (e *staticEngine[In, Out]) reduceBlock(block chunk.Split, env *runEnv[In, O
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s.args.PinThreads {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			work := func() {
 				start := time.Now()
-				errs[t] = s.processSplit(splits[t], env.in, env.out, e.redMaps[t], env.multi, env.live, env.tracker)
+				errs[t] = s.processSplit(splits[t], e.redMaps[t], env)
 				d := time.Since(start)
 				s.stats.SplitTimes[t] += d
 				atomic.AddInt64((*int64)(&s.stats.ReductionTime), int64(d))

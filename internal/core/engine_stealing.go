@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,7 +94,7 @@ func (e *stealingEngine[In, Out]) reduceBlock(block chunk.Split, env *runEnv[In,
 		// simulator. Each split counts as one claimed batch.
 		for t, sp := range splits {
 			start := time.Now()
-			err := s.processSplit(sp, env.in, env.out, e.primary[t].m, env.multi, env.live, env.tracker)
+			err := s.processSplit(sp, e.primary[t].m, env)
 			d := time.Since(start)
 			s.stats.SplitTimes[t] += d
 			s.stats.ReductionTime += d
@@ -130,10 +129,6 @@ func (e *stealingEngine[In, Out]) reduceBlock(block chunk.Split, env *runEnv[In,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s.args.PinThreads {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			s.labelWorker(EngineStealing, func() {
 				errs[t] = e.runWorker(t, block, own[t], e.primary[t].m, reg, &abort, env)
 			})
@@ -171,8 +166,7 @@ steal:
 			batches++
 			s.met.queueDepth.Set(int64(d.Remaining()))
 			start := time.Now()
-			perr := s.processSplit(block.UnitRange(cs, u0, n), env.in, env.out, seg,
-				env.multi, env.live, env.tracker)
+			perr := s.processSplit(block.UnitRange(cs, u0, n), seg, env)
 			busy += time.Since(start)
 			if perr != nil {
 				err = perr

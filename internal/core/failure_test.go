@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +97,42 @@ func TestDecodeCombinationMapError(t *testing.T) {
 	s := MustNewScheduler[int, int64](faultyApp{}, SchedArgs{NumThreads: 1, ChunkSize: 1, NumIters: 1})
 	if err := s.DecodeCombinationMap([]byte{1, 2, 3}); err == nil {
 		t.Fatal("junk decode accepted")
+	}
+
+	// The scheduler's own frame, truncated: every entry but the last one
+	// decodes, so a partial decode or merge would show in the bytes. Each
+	// decode path must reject it and leave the map as it was.
+	dst := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{NumThreads: 2, ChunkSize: 1, NumIters: 1})
+	if err := dst.Run(histInput(100), nil); err != nil {
+		t.Fatal(err)
+	}
+	before, err := dst.EncodeCombinationMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := before[:len(before)-3]
+	ck := filepath.Join(t.TempDir(), "truncated.ck")
+	if err := os.WriteFile(ck, append(append([]byte{}, checkpointMagic...), truncated...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"DecodeCombinationMap", func() error { return dst.DecodeCombinationMap(truncated) }},
+		{"MergeEncodedCombinationMap", func() error { return dst.MergeEncodedCombinationMap(truncated) }},
+		{"ReadCheckpoint", func() error { return dst.ReadCheckpoint(ck) }},
+	} {
+		if err := tc.decode(); err == nil {
+			t.Errorf("%s accepted a truncated frame", tc.name)
+		}
+		after, err := dst.EncodeCombinationMap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Errorf("%s changed the combination map on a failed decode", tc.name)
+		}
 	}
 }
 

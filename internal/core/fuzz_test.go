@@ -6,16 +6,17 @@ import (
 	"testing"
 )
 
-// FuzzDecodeMap hardens the global-combination wire decoder: arbitrary
-// bytes must produce either a valid map or an error — never a panic, a
-// hang, or an absurd allocation (the entry-count bound).
+// FuzzDecodeMap hardens the map-frame decoder behind global combination,
+// DecodeCombinationMap and checkpoint restore: arbitrary bytes must decode
+// into a store or fail — never a panic, a hang, or an absurd allocation
+// (the entry-count bound).
 func FuzzDecodeMap(f *testing.F) {
 	// Seed with valid encodings and their mutations.
-	m := CombMap{1: &countObj{n: 7}, -3: &countObj{n: 0}, 1 << 20: &countObj{n: 42}}
-	valid, err := encodeMap(m)
-	if err != nil {
-		f.Fatal(err)
-	}
+	st := newTestStore(2)
+	st.insert(1, &countObj{n: 7})
+	st.insert(-3, &countObj{n: 0})
+	st.insert(1<<20, &countObj{n: 42})
+	valid := encodeStore(f, st)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -23,23 +24,25 @@ func FuzzDecodeMap(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add(append(append([]byte{}, valid...), 9))
 
+	factory := func() RedObj { return &countObj{} }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded, err := decodeMap(data, func() RedObj { return &countObj{} })
+		decoded, err := decodeStore(data, 3, factory)
 		if err != nil {
 			return
 		}
-		// Valid decodes must re-encode to a decodable payload of the same
-		// content.
-		re, err := encodeMap(decoded)
-		if err != nil {
-			t.Fatalf("re-encode of valid decode failed: %v", err)
-		}
-		back, err := decodeMap(re, func() RedObj { return &countObj{} })
+		// A valid decode re-encodes to a frame that decodes to the same
+		// content. (Not necessarily to data itself: a frame may repeat a key,
+		// and the last copy wins.)
+		re := encodeStore(t, decoded)
+		back, err := decodeStore(re, 1, factory)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if len(back) != len(decoded) {
-			t.Fatalf("roundtrip changed size: %d vs %d", len(back), len(decoded))
+		if back.size() != decoded.size() {
+			t.Fatalf("roundtrip changed size: %d vs %d", back.size(), decoded.size())
+		}
+		if !bytes.Equal(encodeStore(t, back), re) {
+			t.Fatal("re-encode of the re-decoded store changed bytes")
 		}
 	})
 }

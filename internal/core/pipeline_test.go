@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -122,4 +124,53 @@ func TestGlobalCombineSingleProcess(t *testing.T) {
 	if total != 100 {
 		t.Fatalf("total %d", total)
 	}
+
+	// A key PostCombine inserts inside GlobalCombine must reach the output
+	// and every serialization of the map alike.
+	calls := 0
+	app := growingApp{bucketApp{width: 10}, &calls}
+	args := SchedArgs{NumThreads: 1, ChunkSize: 1, NumIters: 1}
+	g := MustNewScheduler[int, int64](app, args)
+	g.SetGlobalCombination(false)
+	if err := g.Run(histInput(100), make([]int64, 12)); err != nil {
+		t.Fatal(err)
+	}
+	out = make([]int64, 12)
+	if err := g.GlobalCombine(out); err != nil {
+		t.Fatal(err)
+	}
+	if out[10] != 1000 || out[11] != 1001 {
+		t.Fatalf("keys inserted by PostCombine converted to %d and %d, want 1000 and 1001", out[10], out[11])
+	}
+	want, err := g.EncodeCombinationMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(t.TempDir(), "grown.ck")
+	if err := g.WriteCheckpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+	restored := MustNewScheduler[int, int64](app, args)
+	if err := restored.ReadCheckpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.EncodeCombinationMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("checkpoint round trip differs from EncodeCombinationMap")
+	}
+}
+
+// growingApp is bucketApp whose PostCombine inserts one new key per call:
+// the i-th call (from 0) adds key 10+i holding 1000+i.
+type growingApp struct {
+	bucketApp
+	calls *int
+}
+
+func (a growingApp) PostCombine(com CombMap) {
+	com[10+*a.calls] = &countObj{n: int64(1000 + *a.calls)}
+	*a.calls++
 }

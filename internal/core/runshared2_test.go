@@ -60,24 +60,3 @@ func TestRunShared2WindowAnalytics(t *testing.T) {
 		t.Fatalf("consumed %d steps, want %d", consumed, steps)
 	}
 }
-
-func TestPinThreadsEquivalent(t *testing.T) {
-	in := histInput(2000)
-	want := make([]int64, 10)
-	plain := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{NumThreads: 4, ChunkSize: 1, NumIters: 1})
-	if err := plain.Run(in, want); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]int64, 10)
-	pinned := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{
-		NumThreads: 4, ChunkSize: 1, NumIters: 1, PinThreads: true,
-	})
-	if err := pinned.Run(in, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket %d: pinned %d, plain %d", i, got[i], want[i])
-		}
-	}
-}

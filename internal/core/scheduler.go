@@ -46,22 +46,21 @@ func (s *Scheduler[In, Out]) Run2Context(ctx context.Context, in []In, out []Out
 	return s.run(ctx, in, out, true)
 }
 
-// RunWindowContext recycles the scheduler's accumulated state in place
-// (RecycleCombinationMap) and runs the analytics over exactly one window's
+// RunWindowContext clears the scheduler's accumulated state in place
+// (ResetCombinationMap) and runs the analytics over exactly one window's
 // elements. It is the narrow re-entrant entry point the streaming layer
 // compiles each fired window onto: the result is byte-identical to a fresh
-// scheduler run over the same elements, but the combination map's buckets,
-// the sharded store's shards or arena slabs, and the engine stay warm from
-// window to window.
+// scheduler run over the same elements, but the store's shards and arena
+// slabs and the engine stay warm from window to window.
 func (s *Scheduler[In, Out]) RunWindowContext(ctx context.Context, in []In, out []Out) error {
-	s.RecycleCombinationMap()
+	s.ResetCombinationMap()
 	return s.run(ctx, in, out, false)
 }
 
 // RunWindow2Context is RunWindowContext using gen_keys, for window-family
 // (MultiKeyer) analytics.
 func (s *Scheduler[In, Out]) RunWindow2Context(ctx context.Context, in []In, out []Out) error {
-	s.RecycleCombinationMap()
+	s.ResetCombinationMap()
 	return s.run(ctx, in, out, true)
 }
 
@@ -113,14 +112,11 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 
 	// process_extra_data: initialize the combination map if needed.
 	if s.extraProc != nil {
-		s.extraProc.ProcessExtraData(s.args.Extra, s.comMap)
+		s.throughView(func(com CombMap) { s.extraProc.ProcessExtraData(s.args.Extra, com) })
 	}
 
 	live := &liveCounter{}
 	env := &runEnv[In, Out]{in: in, out: out, multi: multi, live: live, tracker: tracker}
-	// Application code may have mutated the combination map since the last
-	// sync point (between Runs, anything holding CombinationMap may write).
-	s.storeFresh = false
 
 	for iter := 0; iter < s.args.NumIters; iter++ {
 		if s.cancelled.Load() || ctx.Err() != nil {
@@ -128,8 +124,9 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 		}
 		// Distribute the (local or, after the first iteration's global
 		// combination, global) combination map into the engine's segment
-		// reduction stores (shard-parallel deep clones; see distributeInto).
-		s.syncStore()
+		// reduction stores (shard-parallel deep clones; see distributeInto),
+		// and snapshot the view key generation reads this iteration.
+		env.com = s.store.view()
 		s.eng.distribute(env)
 		if err := tracker.sync(); err != nil {
 			return err
@@ -181,7 +178,6 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 		for i := range segs {
 			segs[i] = nil
 		}
-		s.syncFlat()
 		s.stats.LocalCombineTime += time.Since(start)
 		s.shardSpans("local combine shard", start, durs)
 		s.phaseEvent("local combine", start)
@@ -210,10 +206,7 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 
 		if s.postComb != nil {
 			pcStart := time.Now()
-			s.postComb.PostCombine(s.comMap)
-			// PostCombine may have inserted, erased, or replaced entries in
-			// the flat map; reseed before the next phase that needs the store.
-			s.storeFresh = false
+			s.throughView(s.postComb.PostCombine)
 			s.phaseEvent("post combine", pcStart)
 		}
 	}
@@ -317,23 +310,13 @@ func (s *Scheduler[In, Out]) phaseWorkers() int {
 	return s.args.NumThreads
 }
 
-// syncStore reseeds the store (the sharded working view) from the flat
-// combination map if application code may have mutated the flat view since
-// the last sync.
-func (s *Scheduler[In, Out]) syncStore() {
-	if s.storeFresh {
-		return
-	}
-	s.store.reseed(s.comMap)
-	s.storeFresh = true
-}
-
-// syncFlat rebuilds the flat combination map from the store after a
-// shard-parallel phase mutated it. The flat map's identity is preserved —
-// holders of CombinationMap keep seeing the current state.
-func (s *Scheduler[In, Out]) syncFlat() {
-	s.store.flattenInto(s.comMap)
-	s.storeFresh = true
+// throughView hands a hook that may change keys (ProcessExtraData,
+// PostCombine) a view of the combination map, then takes in every key the
+// hook inserted, deleted, or replaced.
+func (s *Scheduler[In, Out]) throughView(hook func(com CombMap)) {
+	com := s.store.view()
+	hook(com)
+	s.store.reseed(com)
 }
 
 // flushStoreStats drains the probe/footprint counters the stores accumulated
@@ -359,9 +342,8 @@ func (s *Scheduler[In, Out]) flushStoreStats(segs []*arenaStore) {
 // processSplit consumes one split chunk by chunk: generate key(s), locate or
 // create the reduction object, accumulate, and — when the object's trigger
 // fires — emit it early (Algorithm 2).
-func (s *Scheduler[In, Out]) processSplit(sp chunk.Split, in []In, out []Out,
-	redMap *arenaStore, multi bool, live *liveCounter, tracker *memTracker) error {
-
+func (s *Scheduler[In, Out]) processSplit(sp chunk.Split, redMap *arenaStore, env *runEnv[In, Out]) error {
+	in, out, com, multi, live, tracker := env.in, env.out, env.com, env.multi, env.live, env.tracker
 	var keys []int
 	var chunks, touched int64
 	chunkSize := s.args.ChunkSize
@@ -386,13 +368,13 @@ func (s *Scheduler[In, Out]) processSplit(sp chunk.Split, in []In, out []Out,
 		c := chunk.Chunk{Start: start, Length: length}
 		chunks++
 		if multi {
-			keys = s.multi.GenKeys(c, in, s.comMap, keys[:0])
+			keys = s.multi.GenKeys(c, in, com, keys[:0])
 			touched += int64(len(keys))
 			for _, k := range keys {
 				s.consumeChunk(k, c, in, out, redMap, live, tracker, &cache)
 			}
 		} else {
-			k := s.app.GenKey(c, in, s.comMap)
+			k := s.app.GenKey(c, in, com)
 			touched++
 			s.consumeChunk(k, c, in, out, redMap, live, tracker, &cache)
 		}
@@ -503,7 +485,6 @@ func (s *Scheduler[In, Out]) convert(out []Out) error {
 	if out == nil || s.converter == nil {
 		return nil
 	}
-	s.syncStore()
 	forShards(s.store.numShards(), s.phaseWorkers(), func(si int) {
 		s.store.forEachIn(si, func(k int, obj RedObj) {
 			s.emit(k, obj, out)
@@ -517,18 +498,17 @@ func (s *Scheduler[In, Out]) convert(out []Out) error {
 // harness measure the serialization cost Smart pays over a contiguous-buffer
 // Allreduce (Section 5.3) without running a live communicator.
 func (s *Scheduler[In, Out]) EncodeCombinationMap() ([]byte, error) {
-	return encodeMap(s.comMap)
+	return appendStore(make([]byte, 0, 16+32*s.store.size()), s.store)
 }
 
 // DecodeCombinationMap replaces the combination map with one decoded from
-// EncodeCombinationMap's format.
+// EncodeCombinationMap's format. A corrupt frame leaves the map untouched.
 func (s *Scheduler[In, Out]) DecodeCombinationMap(buf []byte) error {
-	m, err := decodeMap(buf, s.newObj)
+	st, err := decodeStore(buf, s.store.numShards(), s.newObj)
 	if err != nil {
 		return err
 	}
-	s.comMap = m
-	s.storeFresh = false
+	s.store = st
 	return nil
 }
 
@@ -539,24 +519,31 @@ func (s *Scheduler[In, Out]) DecodeCombinationMap(buf []byte) error {
 // not reuse them afterwards).
 func (s *Scheduler[In, Out]) MergeCombinationMap(m CombMap) {
 	for k, obj := range m {
-		if dst, ok := s.comMap[k]; ok {
-			s.app.Merge(obj, dst)
-		} else {
-			s.comMap[k] = obj
-		}
+		s.mergeEntry(k, obj)
 	}
-	s.storeFresh = false
 }
 
 // MergeEncodedCombinationMap decodes a map serialized with
-// EncodeCombinationMap and folds it in.
+// EncodeCombinationMap and folds it in. A corrupt frame merges nothing.
 func (s *Scheduler[In, Out]) MergeEncodedCombinationMap(buf []byte) error {
-	m, err := decodeMap(buf, s.newObj)
+	in, err := decodeStore(buf, s.store.numShards(), s.newObj)
 	if err != nil {
 		return err
 	}
-	s.MergeCombinationMap(m)
+	for si := 0; si < in.numShards(); si++ {
+		in.forEachIn(si, s.mergeEntry)
+	}
 	return nil
+}
+
+// mergeEntry merges obj into the object stored under k, or adopts it when
+// the key is new.
+func (s *Scheduler[In, Out]) mergeEntry(k int, obj RedObj) {
+	if dst, ok := s.store.lookup(k); ok {
+		s.app.Merge(obj, dst)
+	} else {
+		s.store.insert(k, obj)
+	}
 }
 
 // GlobalCombine runs only the global combination phase over the current
@@ -579,7 +566,7 @@ func (s *Scheduler[In, Out]) GlobalCombine(out []Out) error {
 		s.phaseEventID("global combine", gcStart, gcID)
 	}
 	if s.postComb != nil {
-		s.postComb.PostCombine(s.comMap)
+		s.throughView(s.postComb.PostCombine)
 	}
 	return s.convert(out)
 }
@@ -600,7 +587,6 @@ func (s *Scheduler[In, Out]) GlobalCombine(out []Out) error {
 func (s *Scheduler[In, Out]) globalCombine() error {
 	start := time.Now()
 	comm := s.args.Comm
-	s.syncStore()
 	var sent int64
 	enc := func(seg int) ([]byte, error) {
 		if cap(s.gcScratch) > 0 {
@@ -695,7 +681,6 @@ func (s *Scheduler[In, Out]) globalCombine() error {
 			return fmt.Errorf("core: global combination decode: %w", err)
 		}
 	}
-	s.syncFlat()
 	atomic.AddInt64(&s.stats.SerializedBytes, sent)
 	s.met.gcBytes.Add(sent)
 	s.stats.GlobalCombineTime += time.Since(start)

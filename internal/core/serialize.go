@@ -73,35 +73,6 @@ func appendObj(buf []byte, k int, obj RedObj) ([]byte, error) {
 	return append(buf, payload...), nil
 }
 
-// appendMap serializes a combination map as
-// count | (key, len, payload)* with little-endian fixed-width framing,
-// appending to buf. This is the serialization the paper charges to global
-// combination — the price of keeping reduction objects in a flexible map
-// rather than the contiguous arrays of a hand-written MPI_Allreduce
-// (Section 5.3). Entries are written in ascending key order, so equal maps
-// encode byte-identically: checkpoints of the same state round-trip
-// bit-for-bit and global-combination payloads are reproducible across runs.
-func appendMap(buf []byte, m CombMap) ([]byte, error) {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m)))
-	var err error
-	for _, k := range keys {
-		if buf, err = appendObj(buf, k, m[k]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// encodeMap is appendMap into a fresh right-sized buffer.
-func encodeMap(m CombMap) ([]byte, error) {
-	return appendMap(make([]byte, 0, 16+32*len(m)), m)
-}
-
 // storeEntry pairs a key with its live object while an encode re-sorts a
 // store's contents into canonical ascending-key order.
 type storeEntry struct {
@@ -123,13 +94,18 @@ func appendEntriesSorted(buf []byte, ents []storeEntry) ([]byte, error) {
 	return buf, nil
 }
 
-// appendStore serializes a reduction store in the exact encodeMap format:
-// every live key across every shard, re-sorted into one ascending sequence
-// and framed identically — so the wire and checkpoint byte format is
-// independent of shard count and insertion order. It only reads
-// the store through forEachIn (no lookups, no counter writes), so it is safe
-// to run concurrently with other readers — the checkpoint writer depends on
-// this.
+// appendStore serializes a reduction store as one map frame,
+// count | (key, len, payload)* with little-endian fixed-width framing,
+// appending to buf. This is the serialization the paper charges to global
+// combination — the price of keeping reduction objects in a flexible map
+// rather than the contiguous arrays of a hand-written MPI_Allreduce
+// (Section 5.3). Every live key across every shard is re-sorted into one
+// ascending sequence, so the wire and checkpoint byte format is independent
+// of shard count and insertion order: checkpoints of the same state
+// round-trip bit-for-bit and global-combination payloads are reproducible
+// across runs. It only reads the store through forEachIn (no lookups, no
+// counter writes), so it is safe to run concurrently with other readers —
+// the checkpoint writer depends on this.
 func appendStore(buf []byte, st *arenaStore) ([]byte, error) {
 	ents := make([]storeEntry, 0, st.size())
 	for si := 0; si < st.numShards(); si++ {
@@ -141,7 +117,7 @@ func appendStore(buf []byte, st *arenaStore) ([]byte, error) {
 }
 
 // appendShardOf serializes one shard of a reduction store as a standalone
-// encodeMap frame (the global-combination streamed segments). Keys within a
+// map frame (the global-combination streamed segments). Keys within a
 // shard are written in ascending order, so the per-shard payload bytes are
 // canonical too.
 func appendShardOf(buf []byte, st *arenaStore, si int) ([]byte, error) {
@@ -152,29 +128,19 @@ func appendShardOf(buf []byte, st *arenaStore, si int) ([]byte, error) {
 	return appendEntriesSorted(buf, ents)
 }
 
-// decodeMap reverses encodeMap, materializing objects with the factory. The
-// destination map is pre-sized from the frame's count header (bounded by what
-// the payload could plausibly hold, mirroring walkEntries' corruption guard)
-// so decoding a large checkpoint or broadcast does not grow the map
-// incrementally.
-func decodeMap(buf []byte, factory func() RedObj) (CombMap, error) {
-	hint := 0
-	if len(buf) >= 4 {
-		if n := int(binary.LittleEndian.Uint32(buf)); n >= 0 && n <= len(buf[4:])/12 {
-			hint = n
-		}
-	}
-	m := make(CombMap, hint)
-	if err := decodeEntries(buf, factory, func(k int, obj RedObj) { m[k] = obj }); err != nil {
+// decodeStore reverses appendStore into a new store of nshards shards,
+// materializing objects with the factory. It returns no store for a corrupt
+// frame, so callers swap in or merge from only a fully decoded one.
+func decodeStore(buf []byte, nshards int, factory func() RedObj) (*arenaStore, error) {
+	st := newArenaStore(nshards, factory)
+	if err := decodeEntries(buf, factory, st.insert); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return st, nil
 }
 
-// decodeEntries walks an encodeMap frame, materializing each object with the
-// factory and handing it to sink — shared by flat-map decoding and the
-// decode-once global-combination merge, which routes entries straight into
-// the local decoded shards instead of building an intermediate map.
+// decodeEntries walks a map frame, materializing each object with the
+// factory and handing it to sink.
 func decodeEntries(buf []byte, factory func() RedObj, sink func(k int, obj RedObj)) error {
 	return walkEntries(buf, func(k int, payload []byte) error {
 		obj := factory()
@@ -186,7 +152,7 @@ func decodeEntries(buf []byte, factory func() RedObj, sink func(k int, obj RedOb
 	})
 }
 
-// walkEntries streams an encodeMap frame entry by entry without
+// walkEntries streams a map frame entry by entry without
 // materializing anything: sink receives each key and its raw payload (a
 // sub-slice of buf, valid only during the call). The global-combination
 // paths build on this to unmarshal payloads into already-live objects —

@@ -47,15 +47,21 @@ func TestShardedMapFlattenPreservesIdentity(t *testing.T) {
 			t.Fatalf("key %d not aliased in its shard", k)
 		}
 	}
-	// flattenInto must refill the same map value, not replace it.
-	dst := flat
+	// A view is a new map over the same objects: its keys are its own, its
+	// values are the store's.
 	st.insert(5, &countObj{n: 50})
-	st.flattenInto(dst)
-	if len(dst) != 4 || dst[5].(*countObj).n != 50 {
-		t.Fatalf("flattenInto result: %v", dst)
+	view := st.view()
+	if len(view) != 4 || view[5].(*countObj).n != 50 {
+		t.Fatalf("view result: %v", view)
 	}
-	if !reflect.DeepEqual(dst, flat) {
-		t.Fatal("flattenInto replaced the map identity")
+	for k, obj := range view {
+		if got, _ := st.lookup(k); got != obj {
+			t.Fatalf("view key %d does not alias the stored object", k)
+		}
+	}
+	delete(view, 1)
+	if _, ok := st.lookup(1); !ok || len(flat) != 3 {
+		t.Fatal("deleting from a view reached the store or the reseed source")
 	}
 }
 

@@ -83,12 +83,18 @@ func TestStoreReseedFlattenRoundTrip(t *testing.T) {
 				t.Fatalf("key %d not aliased", k)
 			}
 		}
-		// flattenInto refills the same map value.
-		dst := flat
+		// view returns every live entry, and reseeding from it reproduces
+		// the same store.
 		st.insert(999, &countObj{n: 999})
-		st.flattenInto(dst)
-		if !reflect.DeepEqual(dst, flat) || len(dst) != 35 || dst[999].(*countObj).n != 999 {
-			t.Fatalf("flattenInto result has %d keys", len(dst))
+		st.remove(-50)
+		view := st.view()
+		if _, ok := view[-50]; ok || len(view) != 34 || view[999].(*countObj).n != 999 {
+			t.Fatalf("view has %d keys", len(view))
+		}
+		before := encodeStore(t, st)
+		st.reseed(view)
+		if !bytes.Equal(encodeStore(t, st), before) {
+			t.Fatal("reseed from a view changed the store")
 		}
 	})
 }
@@ -130,7 +136,7 @@ func TestStoreOrderedKeys(t *testing.T) {
 	})
 }
 
-// frameKeys lists the keys of an encodeMap frame in frame order.
+// frameKeys lists the keys of a map frame in frame order.
 func frameKeys(t testing.TB, buf []byte) []int {
 	t.Helper()
 	var keys []int
@@ -293,12 +299,19 @@ func applyStoreOps(st *arenaStore, model CombMap, ops []storeOp) {
 	}
 }
 
-// checkStoreAgainstModel requires every observable of st — size, per-shard
-// sizes, per-shard and whole-store encodings — to match the map model.
+// checkStoreAgainstModel requires every observable of st — size, contents,
+// per-shard sizes, per-shard and whole-store encodings — to match the map
+// model.
 func checkStoreAgainstModel(t testing.TB, st *arenaStore, model CombMap) {
 	t.Helper()
 	if st.size() != len(model) {
 		t.Fatalf("size %d, model %d", st.size(), len(model))
+	}
+	view := st.view()
+	for k, want := range model {
+		if got, ok := view[k]; !ok || got.(*countObj).n != want.(*countObj).n {
+			t.Fatalf("key %d: store %v, model %v", k, got, want)
+		}
 	}
 	shards := make([]CombMap, st.numShards())
 	for i := range shards {
@@ -324,13 +337,13 @@ func checkStoreAgainstModel(t testing.TB, st *arenaStore, model CombMap) {
 	}
 }
 
+// encodeModel encodes the model through a one-shard store built by plain
+// inserts, the simplest store state that holds exactly the model.
 func encodeModel(t testing.TB, m CombMap) []byte {
 	t.Helper()
-	buf, err := encodeMap(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf
+	st := newTestStore(1)
+	st.reseed(m)
+	return encodeStore(t, st)
 }
 
 func encodeStore(t testing.TB, st *arenaStore) []byte {
@@ -398,11 +411,11 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		applyStoreOps(st, model, ops)
 		checkStoreAgainstModel(t, st, model)
 		enc := encodeStore(t, st)
-		m, err := decodeMap(enc, func() RedObj { return &countObj{} })
+		back, err := decodeStore(enc, 1, func() RedObj { return &countObj{} })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(encodeModel(t, m), enc) {
+		if !bytes.Equal(encodeStore(t, back), enc) {
 			t.Fatal("decode/re-encode round trip changed bytes")
 		}
 	})

@@ -99,24 +99,3 @@ func TestRunWindow2ByteIdentical(t *testing.T) {
 		})
 	}
 }
-
-// TestRecycleKeepsMapIdentity: holders of CombinationMap keep observing the
-// live map across a recycle — the map is cleared in place, never replaced.
-func TestRecycleKeepsMapIdentity(t *testing.T) {
-	s := MustNewScheduler[int, int64](bucketApp{width: 10},
-		SchedArgs{NumThreads: 1, ChunkSize: 1, NumIters: 1})
-	if err := s.Run(histInput(100), nil); err != nil {
-		t.Fatal(err)
-	}
-	held := s.CombinationMap()
-	if len(held) == 0 {
-		t.Fatal("run left an empty combination map")
-	}
-	s.RecycleCombinationMap()
-	if len(held) != 0 {
-		t.Fatalf("recycle left %d entries visible through a held reference", len(held))
-	}
-	if reflect.ValueOf(s.CombinationMap()).Pointer() != reflect.ValueOf(held).Pointer() {
-		t.Fatal("recycle replaced the combination map instead of clearing it")
-	}
-}
