@@ -195,19 +195,3 @@ func BenchmarkExt1_Placements(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFigSched_Engines regenerates the scheduler figure: static vs
-// work-stealing engine on skewed and uniform workloads across thread counts.
-// The reported metric is the skewed-workload speedup of stealing over static
-// at the highest thread count (≈1 on hosts with fewer cores than threads).
-func BenchmarkFigSched_Engines(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.FigSched(harness.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = ratioAt(res, "skewed/static", "skewed/stealing", 8)
-	}
-	b.ReportMetric(speedup, "skewed-steal-speedup-x")
-}

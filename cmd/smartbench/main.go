@@ -9,9 +9,9 @@
 //	smartbench -fig 5 -scale small # quick run
 //
 // Figure ids: 1, 5, 5mem, 6, 6loc, 7, 8, 9a, 9b, 10, 11a, 11b, plus the
-// extension experiments ext1 (in-situ vs in-transit vs hybrid), sched
-// (static vs work-stealing engine), and stream (continuous windowed
-// queries, warm reseed vs per-window rebuild); "all" runs everything.
+// extension experiments ext1 (in-situ vs in-transit vs hybrid) and stream
+// (continuous windowed queries, warm reseed vs per-window rebuild); "all"
+// runs everything.
 package main
 
 import (
@@ -63,12 +63,11 @@ var experiments = []experiment{
 	{"11a", one(harness.Fig11a)},
 	{"11b", one(harness.Fig11b)},
 	{"ext1", one(harness.FigExt1)},
-	{"sched", one(harness.FigSched)},
 	{"stream", one(harness.FigStream)},
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure id to regenerate (1, 5, 5mem, 6, 6loc, 7, 8, 9a, 9b, 10, 11a, 11b, ext1, sched, stream, all)")
+	fig := flag.String("fig", "all", "figure id to regenerate (1, 5, 5mem, 6, 6loc, 7, 8, 9a, 9b, 10, 11a, 11b, ext1, stream, all)")
 	scaleName := flag.String("scale", "full", "experiment scale: small or full")
 	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
 	metricsFile := flag.String("metrics", "", "write a JSON snapshot of the runtime metrics to this file at exit")

@@ -10,17 +10,19 @@ import (
 )
 
 // TestStoreByteIdentical is the cross-application equivalence test for the
-// reduction store: for each of the paper's nine applications, under each
-// execution engine with four threads and four combine shards, the store must
-// produce the EncodeCombinationMap bytes of the serial pipeline (static
-// engine, one shard, one thread).
+// reduction store: for each of the paper's nine applications, with four
+// threads and four combine shards, the store must produce the
+// EncodeCombinationMap bytes of the serial pipeline (one shard, one thread).
 //
-// The stealing engine's steal pattern is timing-dependent, and four threads
-// group partial results differently from one, so every case uses the
-// exact-arithmetic configurations of the engine test (any grouping yields the
-// same bits). kde and savgol cannot be made exact: their reference keeps the
-// four threads' split grouping, and their stealing side runs in Sequential
-// mode exactly as the engine test does.
+// Four threads group partial results differently from one, so every case is
+// configured so its reductions are exact and any grouping yields the same
+// bits: integer counts (histogram, mutualinfo), integer-valued sums
+// (gridagg, kmeans, movingavg), per-grid-cell-constant values (moments —
+// every Welford delta is zero), dyadic features with zero initial weights
+// and a single iteration (logreg — every gradient term is a multiple of
+// 2⁻⁴), or order-preserved holistic appends (movingmedian). kde and savgol
+// sum irrational kernel weights and cannot be made exact: their reference
+// keeps the four threads' split grouping.
 func TestStoreByteIdentical(t *testing.T) {
 	const n = 6000
 	vals := synth(n, func(i int) float64 { return float64((i*37)%200)/10 - 10 })
@@ -89,49 +91,10 @@ func TestStoreByteIdentical(t *testing.T) {
 			if len(ref) <= 4 {
 				t.Fatal("reference combination map is empty — the case tests nothing")
 			}
-			for _, engine := range []string{core.EngineStatic, core.EngineStealing} {
-				args := core.SchedArgs{NumThreads: 4, Engine: engine,
-					Sequential: tc.inexact && engine == core.EngineStealing}
-				if got := tc.encode(t, args); !bytes.Equal(got, ref) {
-					t.Errorf("engine %s: encoding differs from the serial pipeline (%d vs %d bytes)",
-						engine, len(got), len(ref))
-				}
+			if got := tc.encode(t, core.SchedArgs{NumThreads: 4}); !bytes.Equal(got, ref) {
+				t.Errorf("encoding differs from the serial pipeline (%d vs %d bytes)", len(got), len(ref))
 			}
 		})
-	}
-}
-
-// TestArenaForcedStealMedianByteIdentical repeats the guaranteed-steal
-// determinism test on the arena store: stolen segments clone-seed through
-// arena slabs and recycle across iterations, and the holistic median must
-// still encode byte-for-byte like the static schedule.
-func TestArenaForcedStealMedianByteIdentical(t *testing.T) {
-	const n = 6000
-	vals := synth(n, func(i int) float64 { return float64((i*37)%200)/10 - 10 })
-	app := &gateMedian{
-		MovingMedian: NewMovingMedian(25, n, 0, false),
-		gate:         make(chan struct{}),
-		guard:        3 * (n / 2) / 4,
-		limit:        n / 2,
-	}
-	s := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: 2, ChunkSize: 1, Engine: core.EngineStealing,
-	})
-	out := make([]float64, n)
-	if err := s.Run2(vals, out); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats().Snapshot(); st.Steals == 0 {
-		t.Fatal("no steal recorded despite a parked straggler")
-	}
-	got, err := s.EncodeCombinationMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := runAndEncode[float64](t, NewMovingMedian(25, n, 0, false),
-		core.SchedArgs{NumThreads: 2, ChunkSize: 1}, vals, n, true)
-	if !bytes.Equal(got, ref) {
-		t.Errorf("stolen-segment encoding differs from the static schedule (%d vs %d bytes)", len(got), len(ref))
 	}
 }
 

@@ -2,12 +2,12 @@ package chunk
 
 import "testing"
 
-// FuzzPartition pins the Partition invariants the execution engines build
+// FuzzPartition pins the Partition invariants the static schedule builds
 // on: the splits tile [0, n) exactly (full coverage, no overlap, no gaps),
 // every non-empty split starts on a chunkSize boundary (no unit chunk is
 // torn across threads), unit counts are balanced to within one chunk, and
 // when parts exceeds the unit count the surplus splits are zero-length with
-// in-range starts rather than junk the engines would have to special-case.
+// in-range starts rather than junk the scheduler would have to special-case.
 func FuzzPartition(f *testing.F) {
 	f.Add(100, 4, 1)
 	f.Add(103, 4, 5)
@@ -56,7 +56,7 @@ func FuzzPartition(f *testing.F) {
 			t.Fatalf("splits cover %d elements, want %d", total, n)
 		}
 		// Balance: unit counts differ by at most one chunk across splits
-		// (the equal-split premise of the static engine).
+		// (the equal-split premise of the static schedule).
 		if units > 0 && maxUnits-minUnits > 1 {
 			t.Fatalf("unit counts range [%d, %d]; static splits must balance to within one chunk",
 				minUnits, maxUnits)

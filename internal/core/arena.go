@@ -44,11 +44,11 @@ type arenaShard struct {
 	probes, lookups int64
 }
 
-// arenaStore is the reduction/combination-map storage layer behind the
-// engine: everything between the scheduler and the bytes — lookup-or-insert
-// on the reduction hot path, the clone-seed of the per-iteration distribution
-// step, the shard-parallel combine-into, per-shard iteration for the
-// canonical serialization, and the flat views handed to application code.
+// arenaStore is the reduction/combination-map storage layer: everything
+// between the scheduler and the bytes — lookup-or-insert on the reduction
+// hot path, the clone-seed of the per-iteration distribution step, the
+// shard-parallel combine-into, per-shard iteration for the canonical
+// serialization, and the flat views handed to application code.
 //
 // Per shard it keeps a Fibonacci-hashed open-addressing index plus a
 // contiguous arena of reduction objects: no per-key map-entry allocation,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,10 +14,7 @@ import (
 
 // cancellingApp wraps bucketApp and cancels the run's context on the at-th
 // GenKey call across all threads — a mid-run cancel that fires early no
-// matter which worker the runtime schedules first. (Keying on a fixed chunk
-// index is not early under work stealing on few cores: thieves take the
-// *back* halves of a starved owner's deque, so nearly the whole input can
-// drain before the owner ever touches its front chunk.)
+// matter which worker the runtime schedules first.
 type cancellingApp struct {
 	bucketApp
 	at     int64
@@ -44,13 +42,18 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-func TestRunContextCancelStopsMidRun(t *testing.T) {
+// checkCancelMidRun cancels a run on nt threads part-way through and checks
+// the contract: the run reports context.Canceled, stops within a few chunks
+// per thread, and leaves no reduction worker goroutine behind.
+func checkCancelMidRun(t *testing.T, nt int) {
+	t.Helper()
 	const n = 200_000
 	const cancelAt = 1000
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	app := &cancellingApp{bucketApp: bucketApp{width: 10}, at: cancelAt, cancel: cancel}
-	s := MustNewScheduler[int, int64](app, SchedArgs{NumThreads: 1, ChunkSize: 1, NumIters: 1})
+	s := MustNewScheduler[int, int64](app, SchedArgs{NumThreads: nt, ChunkSize: 1, NumIters: 1})
 	err := s.RunContext(ctx, histInput(n), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -61,7 +64,21 @@ func TestRunContextCancelStopsMidRun(t *testing.T) {
 	if got := s.Stats().ChunksProcessed; got >= n/2 {
 		t.Fatalf("run consumed %d of %d chunks after cancellation at %d", got, n, cancelAt)
 	}
+	// Every reduction worker must have exited; give the runtime a moment to
+	// retire them before declaring a leak.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i > 100 {
+			t.Fatalf("goroutines leaked: %d before run, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
+
+func TestRunContextCancelStopsMidRun(t *testing.T) { checkCancelMidRun(t, 1) }
+
+// TestStealingCancelMidSteal is the multi-thread leg: four workers are
+// mid-split when the cancel lands, and each must stop and exit.
+func TestStealingCancelMidSteal(t *testing.T) { checkCancelMidRun(t, 4) }
 
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)

@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"github.com/scipioneer/smart/internal/chunk"
@@ -180,16 +179,6 @@ type SchedArgs struct {
 	// entries are routed by key, not segment) but lose the one-segment-per-
 	// shard alignment of the streamed global combine.
 	CombineShards int
-	// Engine selects the reduction-phase execution engine. EngineStatic
-	// (the default) fixes one equal chunk-aligned split per thread up front
-	// — the paper's schedule, kept as the ablation baseline. EngineStealing
-	// starts from the same splits but lets threads claim adaptive chunk
-	// batches from per-range deques and steal the back half of a
-	// straggler's remainder, so skewed per-chunk costs no longer leave
-	// threads idle behind the slowest split. Results are semantically
-	// identical under both; see docs/ARCHITECTURE.md ("Execution engine")
-	// for the exact determinism guarantees.
-	Engine string
 	// Obs is the observability sink for phase spans and runtime metrics
 	// (reduction-map sizes, keys touched, early emissions, serialized
 	// bytes). Nil means obs.Default(), so instrumentation is always on; the
@@ -215,12 +204,6 @@ func (a *SchedArgs) validate() error {
 	if a.CombineShards <= 0 {
 		return errors.New("core: CombineShards must be positive")
 	}
-	switch a.Engine {
-	case EngineStatic, EngineStealing:
-	default:
-		return fmt.Errorf("core: unknown engine %q (want %q or %q)",
-			a.Engine, EngineStatic, EngineStealing)
-	}
 	return nil
 }
 
@@ -240,9 +223,6 @@ func (a *SchedArgs) withDefaults() SchedArgs {
 	}
 	if out.CombineShards == 0 {
 		out.CombineShards = out.NumThreads
-	}
-	if out.Engine == "" {
-		out.Engine = EngineStatic
 	}
 	return out
 }
@@ -294,16 +274,18 @@ type Scheduler[In, Out any] struct {
 	// goroutine is starved. Written by the coordinating goroutine before
 	// workers spawn.
 	runCtx context.Context
-	// eng is the reduction-phase execution engine selected by args.Engine.
-	eng engine[In, Out]
+	// redMaps holds one reduction store per thread; thread t's split of
+	// every block of an iteration accumulates into redMaps[t]. The slots
+	// persist across iterations so their storage is reused (newSegStore).
+	redMaps []*arenaStore
 	// traceCtx, when valid, is the distributed-trace context every phase
 	// span of this scheduler parents under (SetTraceContext). Written
 	// between runs by the coordinating goroutine.
 	traceCtx obs.TraceContext
-	// pprofLabels gates wrapping the engines' reduction workers in
-	// runtime/pprof labels (phase, engine) so CPU profiles attribute
-	// samples to phases. Off by default: label push/pop is cheap but not
-	// free, and the bench harness measures the unlabeled hot path.
+	// pprofLabels gates wrapping the reduction workers in a runtime/pprof
+	// phase label so CPU profiles attribute samples to phases. Off by
+	// default: label push/pop is cheap but not free, and the bench harness
+	// measures the unlabeled hot path.
 	pprofLabels bool
 
 	// cached optional capabilities of app
@@ -354,7 +336,6 @@ func NewScheduler[In, Out any](app Analytics[In, Out], args SchedArgs) (*Schedul
 		s.posAcc = p
 	}
 	_, s.hasTrigger = app.NewRedObj().(Triggered)
-	s.eng = newEngine(s)
 	return s, nil
 }
 
@@ -418,15 +399,12 @@ func (s *Scheduler[In, Out]) SetTraceContext(tc obs.TraceContext) {
 	}
 }
 
-// SetPprofLabels toggles runtime/pprof labels ("phase", "engine") around the
-// reduction worker goroutines, letting CPU and goroutine profiles attribute
-// samples per phase and engine. Job-level labels (job, tenant, app) are the
-// caller's to set via pprof.Do around Run — worker goroutines inherit them.
+// SetPprofLabels toggles a runtime/pprof label (phase="reduction") around
+// the reduction worker goroutines, letting CPU and goroutine profiles
+// attribute samples to the reduction phase. Job-level labels (job, tenant,
+// app) are the caller's to set via pprof.Do around Run — worker goroutines
+// inherit them.
 func (s *Scheduler[In, Out]) SetPprofLabels(on bool) { s.pprofLabels = on }
-
-// Engine reports the effective execution engine name (EngineStatic or
-// EngineStealing) this scheduler runs its reduction phase on.
-func (s *Scheduler[In, Out]) Engine() string { return s.eng.name() }
 
 // SubscribeSpans registers fn to receive every phase span this scheduler
 // emits ("reduction", "local combine", "global combine", "post combine",

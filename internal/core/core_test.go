@@ -245,6 +245,24 @@ func TestRunThreadCountInvariance(t *testing.T) {
 	}
 }
 
+// TestStealingPartsExceedUnits gives eight threads three unit chunks: the
+// surplus threads get empty splits and every element is still counted once.
+func TestStealingPartsExceedUnits(t *testing.T) {
+	in := histInput(3)
+	s := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{NumThreads: 8, ChunkSize: 1})
+	out := make([]int64, 10)
+	if err := s.Run(in, out); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, v := range out {
+		total += v
+	}
+	if total != 3 {
+		t.Fatalf("counted %d elements, want 3", total)
+	}
+}
+
 func TestRunBlockSizeInvariance(t *testing.T) {
 	in := histInput(512)
 	for _, bs := range []int{0, 64, 100, 511, 512, 1024} {

@@ -51,7 +51,7 @@ func (s *Scheduler[In, Out]) Run2Context(ctx context.Context, in []In, out []Out
 // elements. It is the narrow re-entrant entry point the streaming layer
 // compiles each fired window onto: the result is byte-identical to a fresh
 // scheduler run over the same elements, but the store's shards and arena
-// slabs and the engine stay warm from window to window.
+// slabs and the per-thread reduction stores stay warm from window to window.
 func (s *Scheduler[In, Out]) RunWindowContext(ctx context.Context, in []In, out []Out) error {
 	s.ResetCombinationMap()
 	return s.run(ctx, in, out, false)
@@ -123,23 +123,23 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 			return cancelErr(ctx)
 		}
 		// Distribute the (local or, after the first iteration's global
-		// combination, global) combination map into the engine's segment
-		// reduction stores (shard-parallel deep clones; see distributeInto),
-		// and snapshot the view key generation reads this iteration.
+		// combination, global) combination map into the per-thread reduction
+		// stores (shard-parallel deep clones; see distributeInto), and
+		// snapshot the view key generation reads this iteration.
 		env.com = s.store.view()
-		s.eng.distribute(env)
+		s.distribute(env)
 		if err := tracker.sync(); err != nil {
 			return err
 		}
 
-		// Reduction phase, block by block, scheduled by the engine.
+		// Reduction phase, block by block, one split per thread.
 		redStart := time.Now()
 		var redErr error
 		chunk.Blocks(len(in), s.args.BlockSize, s.args.ChunkSize, func(block chunk.Split) {
 			if redErr != nil {
 				return
 			}
-			redErr = s.eng.reduceBlock(block, env)
+			redErr = s.reduceBlock(block, env)
 		})
 		if redErr != nil {
 			if errors.Is(redErr, errCancelled) {
@@ -148,21 +148,21 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 			return redErr
 		}
 		s.phaseEvent("reduction", redStart)
-		segs := s.eng.segments()
-		for _, m := range segs {
+		for _, m := range s.redMaps {
 			s.met.redmapSize.Observe(float64(m.size()))
 		}
 
-		// Local combination: merge every segment the engine produced into
-		// the combination map, shard-parallel — worker w merges shard w of
-		// every segment, so no two workers ever touch the same key and the
-		// merge needs no locks. Segments arrive in ascending input-offset
-		// order (the engine contract), so each key's partials merge in input
-		// order no matter which thread produced them. Objects for unseen
-		// keys are moved; objects for existing keys are merged and die.
+		// Local combination: merge every thread's reduction store into the
+		// combination map, shard-parallel — worker w merges shard w of every
+		// store, so no two workers ever touch the same key and the merge
+		// needs no locks. Stores merge in thread order, so each key's
+		// partials merge in the same order however the goroutines were
+		// scheduled. Objects for unseen keys are moved; objects for existing
+		// keys are merged and die. The stores stay in their slots and are
+		// cleared for reuse at the next distribute.
 		start := time.Now()
 		durs := forShards(s.store.numShards(), s.phaseWorkers(), func(si int) {
-			for _, seg := range segs {
+			for _, seg := range s.redMaps {
 				seg.forEachIn(si, func(k int, obj RedObj) {
 					if dst, ok := s.store.lookup(k); ok {
 						s.app.Merge(obj, dst)
@@ -174,10 +174,7 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 				})
 			}
 		})
-		s.flushStoreStats(segs)
-		for i := range segs {
-			segs[i] = nil
-		}
+		s.flushStoreStats(s.redMaps)
 		s.stats.LocalCombineTime += time.Since(start)
 		s.shardSpans("local combine shard", start, durs)
 		s.phaseEvent("local combine", start)
@@ -285,18 +282,17 @@ func (s *Scheduler[In, Out]) shardSpans(name string, start time.Time, durs []tim
 	}
 }
 
-// labelWorker runs one engine worker body, under runtime/pprof labels
-// attributing its samples to the reduction phase and engine when
-// SetPprofLabels is on. Worker goroutines inherit the coordinating
-// goroutine's labels (job, tenant, app — set by the serve layer), so the
-// phase/engine labels compose with rather than replace them.
-func (s *Scheduler[In, Out]) labelWorker(engine string, work func()) {
+// labelWorker runs one reduction worker body, under a runtime/pprof label
+// attributing its samples to the reduction phase when SetPprofLabels is on.
+// Worker goroutines inherit the coordinating goroutine's labels (job,
+// tenant, app — set by the serve layer), so the phase label composes with
+// rather than replaces them.
+func (s *Scheduler[In, Out]) labelWorker(work func()) {
 	if !s.pprofLabels {
 		work()
 		return
 	}
-	pprof.Do(s.runCtx, pprof.Labels("phase", "reduction", "engine", engine),
-		func(context.Context) { work() })
+	pprof.Do(s.runCtx, pprof.Labels("phase", "reduction"), func(context.Context) { work() })
 }
 
 // phaseWorkers is the goroutine budget of the shard-parallel phases: the

@@ -36,12 +36,6 @@ type Stats struct {
 	// EmittedEarly counts reduction objects converted and erased by the
 	// trigger mechanism during reduction.
 	EmittedEarly int64
-	// Steals counts ranges taken from another thread's deque by the
-	// stealing engine (always zero under the static engine).
-	Steals int64
-	// BatchesClaimed counts chunk batches claimed from the deques by the
-	// stealing engine; the static engine does not claim batches.
-	BatchesClaimed int64
 }
 
 // Snapshot returns a copy of the stats that is safe to read while a Run may
@@ -60,8 +54,6 @@ func (s *Stats) Snapshot() Stats {
 		ChunksProcessed:   atomic.LoadInt64(&s.ChunksProcessed),
 		MaxLiveRedObjs:    s.MaxLiveRedObjs,
 		EmittedEarly:      atomic.LoadInt64(&s.EmittedEarly),
-		Steals:            atomic.LoadInt64(&s.Steals),
-		BatchesClaimed:    atomic.LoadInt64(&s.BatchesClaimed),
 	}
 	if s.SplitTimes != nil {
 		out.SplitTimes = make([]time.Duration, len(s.SplitTimes))
@@ -86,8 +78,6 @@ func (s *Stats) reset(threads int) {
 	s.ChunksProcessed = 0
 	s.MaxLiveRedObjs = 0
 	s.EmittedEarly = 0
-	s.Steals = 0
-	s.BatchesClaimed = 0
 }
 
 // schedMetrics caches the scheduler's registry handles so the per-phase and
@@ -124,14 +114,6 @@ type schedMetrics struct {
 	// compression failed to shrink them.
 	ckRawBytes     *obs.Counter
 	ckEncodedBytes *obs.Counter
-	// steals counts work-stealing engine range steals.
-	steals *obs.Counter
-	// batches counts chunk batches claimed from the stealing engine's deques.
-	batches *obs.Counter
-	// queueDepth samples the remaining units of the deque a worker just
-	// claimed from (gauge value = latest sample, gauge peak = deepest queue
-	// observed — the workload size at the start of a block).
-	queueDepth *obs.Gauge
 	// arenaBytes gauges the bytes resident in the combination store's arena
 	// storage (index tables + key/object arrays).
 	arenaBytes *obs.Gauge
@@ -153,9 +135,6 @@ func (m *schedMetrics) init(r *obs.Registry) {
 	m.encBufReuse = r.Counter("smart_core_enc_buf_reuse_total")
 	m.ckRawBytes = r.Counter("smart_core_ck_raw_bytes_total")
 	m.ckEncodedBytes = r.Counter("smart_core_ck_encoded_bytes_total")
-	m.steals = r.Counter("smart_core_steals_total")
-	m.batches = r.Counter("smart_core_batches_total")
-	m.queueDepth = r.Gauge("smart_core_queue_depth")
 	m.arenaBytes = r.Gauge("smart_core_arena_bytes")
 	m.storeProbeLen = r.Histogram("smart_core_store_probe_len", obs.SizeBuckets)
 }

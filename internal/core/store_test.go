@@ -365,18 +365,17 @@ func TestStoreDifferentialRandomOps(t *testing.T) {
 	}
 }
 
-// TestSchedulerArenaByteIdentical runs the same two-iteration workload on
-// both engines with four combine shards; the encoded combination map must
-// match the serial pipeline (static engine, one shard) byte for byte. The
-// reference keeps the thread count: the distribution step seeds every
-// thread's store with the combination map, so with a non-idempotent Merge
-// the second iteration's result depends on NumThreads by design.
+// TestSchedulerArenaByteIdentical runs the same two-iteration workload with
+// four combine shards; the encoded combination map must match the serial
+// pipeline (one shard) byte for byte. The reference keeps the thread count:
+// the distribution step seeds every thread's store with the combination map,
+// so with a non-idempotent Merge the second iteration's result depends on
+// NumThreads by design.
 func TestSchedulerArenaByteIdentical(t *testing.T) {
 	in := histInput(4000)
-	encode := func(engine string, shards int) []byte {
+	encode := func(shards int) []byte {
 		s := MustNewScheduler[int, int64](bucketApp{width: 3},
-			SchedArgs{NumThreads: 4, ChunkSize: 1, NumIters: 2, CombineShards: shards,
-				Engine: engine})
+			SchedArgs{NumThreads: 4, ChunkSize: 1, NumIters: 2, CombineShards: shards})
 		out := make([]int64, 34)
 		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
@@ -387,11 +386,8 @@ func TestSchedulerArenaByteIdentical(t *testing.T) {
 		}
 		return buf
 	}
-	ref := encode(EngineStatic, 1)
-	for _, engine := range []string{EngineStatic, EngineStealing} {
-		if got := encode(engine, 4); !bytes.Equal(got, ref) {
-			t.Errorf("engine %s: encoding differs from the serial pipeline", engine)
-		}
+	if !bytes.Equal(encode(4), encode(1)) {
+		t.Error("encoding differs from the serial pipeline")
 	}
 }
 

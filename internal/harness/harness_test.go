@@ -29,10 +29,7 @@ func hasCrash(s *Series) bool {
 }
 
 func TestFig1Shape(t *testing.T) {
-	res, err := Fig1(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := minOfRuns(t, 5, Fig1)
 	insitu := res.SeriesByName("in-situ total")
 	offline := res.SeriesByName("offline total")
 	io := res.SeriesByName("offline I/O")

@@ -44,7 +44,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", metrics)
 	mux.Handle("GET /metrics.json", metrics)
 	// Profiling endpoints. Samples carry the job/tenant/app labels runJob
-	// sets plus the scheduler's phase/engine labels, so a profile scraped
+	// sets plus the scheduler's phase label, so a profile scraped
 	// mid-run attributes CPU to individual jobs and phases.
 	mux.HandleFunc("GET /debug/pprof/", httppprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", httppprof.Cmdline)

@@ -101,9 +101,6 @@ type JobSpec struct {
 	// DeadlineMS caps the job's wall-clock run time in milliseconds; zero
 	// uses the server default, negative means no deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Engine selects the scheduler's execution engine ("static" or
-	// "stealing"); empty uses the scheduler default (static).
-	Engine string `json:"engine,omitempty"`
 	// Tenant attributes the job to a client: it selects the fair-queueing
 	// weight/quota/class the job is admitted under and becomes the
 	// "tenant" pprof label on everything the job's goroutines do.
@@ -147,12 +144,6 @@ func (s *JobSpec) normalize() error {
 	}
 	if s.Ranks < 0 || s.Ranks > maxRanks {
 		return fmt.Errorf("serve: ranks must be in (0, %d]", maxRanks)
-	}
-	switch s.Engine {
-	case "", core.EngineStatic, core.EngineStealing:
-	default:
-		return fmt.Errorf("serve: unknown engine %q (have %q, %q)",
-			s.Engine, core.EngineStatic, core.EngineStealing)
 	}
 	if len(s.Tenant) > 128 {
 		return fmt.Errorf("serve: tenant name longer than 128 bytes")
@@ -348,7 +339,7 @@ func wireRunner[Out any](sched *core.Scheduler[float64, Out], em *sim.Emulator,
 	spec JobSpec, mem *memmodel.Node, multiKey, resetPerStep bool, outLen int,
 	result func(out []Out) any) *jobProgram {
 
-	// Phase/engine pprof labels on the reduction workers, composing with the
+	// The phase pprof label on the reduction workers, composing with the
 	// job/tenant labels runJob sets around the whole program.
 	sched.SetPprofLabels(true)
 	// emit is installed by run before the first time-step; the subscribers
@@ -439,8 +430,6 @@ func statsView(st core.Stats) map[string]any {
 		"chunks_processed":  st.ChunksProcessed,
 		"max_live_redobjs":  st.MaxLiveRedObjs,
 		"emitted_early":     st.EmittedEarly,
-		"steals":            st.Steals,
-		"batches_claimed":   st.BatchesClaimed,
 	}
 }
 
@@ -456,7 +445,7 @@ func buildHistogram(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgr
 	}
 	app := analytics.NewHistogram(lo, hi, buckets)
 	sched, err := core.NewScheduler[float64, int64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -483,7 +472,7 @@ func buildGridAgg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram
 	cells := (spec.Elems + gs - 1) / gs
 	app := analytics.NewGridAgg(gs, 0)
 	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -510,7 +499,7 @@ func buildMoments(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram
 	cells := (spec.Elems + gs - 1) / gs
 	app := analytics.NewMoments(gs, 0)
 	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -542,7 +531,7 @@ func buildMutualInfo(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProg
 	}
 	app := analytics.NewMutualInfo(lo, hi, buckets, lo, hi, buckets)
 	sched, err := core.NewScheduler[float64, int64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 2, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: 2, NumIters: 1, Mem: mem, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -585,7 +574,7 @@ func buildLogReg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram,
 	}
 	app := analytics.NewLogReg(dims, rate)
 	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: rec, NumIters: iters, Mem: mem, Engine: spec.Engine, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: rec, NumIters: iters, Mem: mem, Comm: comm,
 	})
 	if err != nil {
 		return nil, err
@@ -627,7 +616,7 @@ func buildKMeans(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram,
 	lo, hi := rangeOr(p)
 	app := analytics.NewKMeans(k, dims)
 	sched, err := core.NewScheduler[float64, []float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: dims, NumIters: iters, Mem: mem, Engine: spec.Engine, Comm: comm,
+		NumThreads: spec.Threads, ChunkSize: dims, NumIters: iters, Mem: mem, Comm: comm,
 		Extra: initCentroids(k, dims, lo, hi),
 	})
 	if err != nil {
@@ -692,7 +681,7 @@ func buildWindow(kind string) builder {
 			return nil, fmt.Errorf("serve: unknown window app %q", kind)
 		}
 		sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Engine: spec.Engine, Comm: comm,
+			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
 		})
 		if err != nil {
 			return nil, err
@@ -742,8 +731,7 @@ func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*j
 			return analytics.NewGridAgg(gs, 0), nil
 		},
 		Args: core.SchedArgs{
-			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem,
-			Engine: spec.Engine, Comm: comm,
+			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
 		},
 		OutLen: func(int) int { return cells },
 	})
@@ -850,7 +838,6 @@ func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*j
 			}
 			sched, err := core.NewScheduler[float64, int64](analytics.NewHistogram(lo, hi, buckets), core.SchedArgs{
 				NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem,
-				Engine: spec.Engine,
 			})
 			if err != nil {
 				return nil, err

@@ -499,9 +499,9 @@ func (s *Server) runLocal(ctx context.Context, j *Job, tc obs.TraceContext) (any
 		j.prog.setTrace(tc)
 	}
 	// Run under job-identity pprof labels: every goroutine the program
-	// spawns (engine workers included) inherits them, so a CPU or heap
+	// spawns (reduction workers included) inherits them, so a CPU or heap
 	// profile scraped from /debug/pprof attributes samples to the job,
-	// tenant and app — the scheduler adds phase/engine labels underneath.
+	// tenant and app — the scheduler adds the phase label underneath.
 	var result any
 	var err error
 	pprof.Do(ctx, pprof.Labels("job", j.id, "tenant", j.tenant, "app", j.spec.App),

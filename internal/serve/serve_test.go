@@ -521,59 +521,19 @@ func TestJobsChargeSharedMemNode(t *testing.T) {
 	}
 }
 
-// TestJobEngineSelection pins per-job execution-engine selection: a spec may
-// pick the work-stealing engine, its result stats then report the stealing
-// counters, the default spec keeps them at the static engine's zeros, and an
-// unknown engine name is rejected at submission (HTTP 400 territory), never
-// accepted and failed later.
-func TestJobEngineSelection(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-
-	stats := func(spec JobSpec) map[string]any {
-		t.Helper()
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitStatus(t, j, StatusDone, 30*time.Second)
-		res, ok := j.View().Result.(map[string]any)
-		if !ok {
-			t.Fatalf("result is %T, want map", j.View().Result)
-		}
-		st, ok := res["stats"].(map[string]any)
-		if !ok {
-			t.Fatalf("result carries no stats map: %v", res)
-		}
-		return st
-	}
-
-	st := stats(JobSpec{App: "histogram", Elems: 65536, Threads: 4, Engine: "stealing"})
-	if got, ok := st["batches_claimed"].(int64); !ok || got == 0 {
-		t.Errorf("stealing job claimed %v batches, want > 0", st["batches_claimed"])
-	}
-	if _, ok := st["steals"].(int64); !ok {
-		t.Errorf("stealing job stats missing steals counter: %v", st)
-	}
-
-	st = stats(JobSpec{App: "histogram", Elems: 4096, Threads: 4})
-	if got, _ := st["batches_claimed"].(int64); got != 0 {
-		t.Errorf("default (static) job claimed %d batches, want 0", got)
-	}
-
-	if _, err := s.Submit(JobSpec{App: "histogram", Engine: "fifo"}); err == nil {
-		t.Error("Submit accepted an unknown engine name")
-	}
-}
-
-// TestSpecIgnoresRetiredMapImpl: "map_impl" is no longer a job field. Specs
-// written for servers that still had it are accepted and run whatever value
-// they carry — the spec decoder ignores unknown fields.
-func TestSpecIgnoresRetiredMapImpl(t *testing.T) {
+// TestSpecIgnoresRetiredFields: "map_impl" and "engine" are no longer job
+// fields. Specs written for servers that still had them — from old clients
+// or in old .resume.json sidecars — are accepted and run whatever value they
+// carry: the spec decoder ignores unknown fields.
+func TestSpecIgnoresRetiredFields(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, impl := range []string{"gomap", "arena", "no-such-store"} {
-		body := fmt.Sprintf(`{"app":"histogram","elems":4096,"map_impl":%q}`, impl)
+	for _, f := range []struct{ field, value string }{
+		{"map_impl", "gomap"}, {"map_impl", "arena"}, {"map_impl", "no-such-store"},
+		{"engine", "stealing"}, {"engine", "static"}, {"engine", "fifo"},
+	} {
+		body := fmt.Sprintf(`{"app":"histogram","elems":4096,%q:%q}`, f.field, f.value)
 		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -585,8 +545,8 @@ func TestSpecIgnoresRetiredMapImpl(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK || view.Status != StatusDone {
-			t.Errorf("map_impl %q: status %d, job %q (%s), want 200 and done",
-				impl, resp.StatusCode, view.Status, view.Error)
+			t.Errorf("%s %q: status %d, job %q (%s), want 200 and done",
+				f.field, f.value, resp.StatusCode, view.Status, view.Error)
 		}
 	}
 }

@@ -70,10 +70,7 @@ func latePolicyOf(p Params) (stream.LatePolicy, error) {
 // The per-window result payloads mirror the batch builders' result maps so a
 // standing query's windows read like a sequence of small batch results.
 func standingCombiner(spec JobSpec, mem *memmodel.Node) (stream.Combiner, error) {
-	args := core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem,
-		Engine: spec.Engine,
-	}
+	args := core.SchedArgs{NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem}
 	p := spec.Params
 	switch spec.App {
 	case "histogram":

@@ -65,10 +65,10 @@ type SchedOptions[Out any] struct {
 
 // SchedCombiner compiles windows onto a core.Scheduler. One scheduler
 // instance is kept warm across fires and re-entered through
-// RunWindowContext, so the combination map's buckets, the sharded store's
-// shards or arena slabs, and the engine survive from window to window; the
-// output of every fire is byte-identical to a fresh scheduler run over the
-// same elements.
+// RunWindowContext, so the sharded store's shards and arena slabs and the
+// per-thread reduction stores survive from window to window; the output of
+// every fire is byte-identical to a fresh scheduler run over the same
+// elements.
 type SchedCombiner[Out any] struct {
 	opts    SchedOptions[Out]
 	sched   *core.Scheduler[float64, Out]

@@ -15,7 +15,7 @@
 // The compiler is deliberately thin: every fired window becomes one batch
 // reduction over exactly that window's elements, lowered onto an existing
 // core.Scheduler through the re-entrant RunWindowContext entry point. The
-// sharded stores, execution engines, and codec'd global combination are
+// sharded store, static schedule, and codec'd global combination are
 // reused unchanged, so a window's output is byte-identical to a one-shot
 // batch run over the same elements — the property the oracle tests pin.
 //

@@ -28,16 +28,6 @@ func stepEvents(times []int64, elemsPer int) []Event {
 	return evs
 }
 
-func schedMatrix() []core.SchedArgs {
-	var args []core.SchedArgs
-	for _, eng := range []string{core.EngineStatic, core.EngineStealing} {
-		args = append(args, core.SchedArgs{
-			NumThreads: 2, ChunkSize: 1, NumIters: 1, CombineShards: 4, Engine: eng,
-		})
-	}
-	return args
-}
-
 // oracleVal is what the oracle combiners return per pane: the encoded
 // combination map (the byte-identity evidence) plus the converted output.
 type oracleVal struct {
@@ -104,9 +94,9 @@ func expectedWindows(spec WindowSpec, evs []Event) map[Window][]float64 {
 // runOracle streams evs through a one-stage pipeline and checks every fired
 // window against a brute-force batch recomputation: same window set, and
 // per window a byte-identical combination map plus equal converted output
-// from a fresh serial-pipeline scheduler (static engine, one combine shard,
-// the same thread count, so FP partials group identically) over exactly that
-// window's elements.
+// from a fresh serial-pipeline scheduler (one combine shard, the same thread
+// count, so FP partials group identically) over exactly that window's
+// elements.
 func runOracle[Out any](t *testing.T, opts SchedOptions[Out], spec WindowSpec, evs []Event) {
 	t.Helper()
 	opts.Result = func(s *core.Scheduler[float64, Out], out []Out) (any, error) {
@@ -158,7 +148,7 @@ func runOracle[Out any](t *testing.T, opts SchedOptions[Out], spec WindowSpec, e
 			t.Fatal(err)
 		}
 		serial := opts.Args
-		serial.Engine, serial.CombineShards = core.EngineStatic, 1
+		serial.CombineShards = 1
 		fresh := core.MustNewScheduler[float64, Out](app, serial)
 		outLen := 0
 		if opts.OutLen != nil {
@@ -221,8 +211,8 @@ func movingAvgOpts(args core.SchedArgs) SchedOptions[float64] {
 }
 
 // TestOracle pins the acceptance criterion: every fired window, under every
-// window kind, app, engine, and map implementation, is byte-identical to a
-// one-shot batch Scheduler run over exactly that window's elements.
+// window kind and app, is byte-identical to a one-shot batch Scheduler run
+// over exactly that window's elements.
 func TestOracle(t *testing.T) {
 	inOrder := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	gappy := []int64{0, 1, 2, 3, 10, 11, 20, 27, 28, 29}
@@ -235,22 +225,12 @@ func TestOracle(t *testing.T) {
 		{"sliding", Sliding(4, 2), inOrder},
 		{"session", Session(3), gappy},
 	}
-	for _, args := range schedMatrix() {
-		for _, sc := range specs {
-			evs := stepEvents(sc.times, 64)
-			label := args.Engine + "/" + sc.name
-			t.Run("histogram/"+label, func(t *testing.T) { runOracle(t, histOpts(args), sc.spec, evs) })
-			if args.Engine == core.EngineStealing {
-				// Steals regroup floating-point arithmetic, so two
-				// independent stealing runs over the same elements are only
-				// byte-identical when the arithmetic is exact (the engine's
-				// documented contract). Histogram's integer counts qualify;
-				// the FP apps are pinned on the static engine.
-				continue
-			}
-			t.Run("moments/"+label, func(t *testing.T) { runOracle(t, momentsOpts(args), sc.spec, evs) })
-			t.Run("movingavg/"+label, func(t *testing.T) { runOracle(t, movingAvgOpts(args), sc.spec, evs) })
-		}
+	args := core.SchedArgs{NumThreads: 2, ChunkSize: 1, NumIters: 1, CombineShards: 4}
+	for _, sc := range specs {
+		evs := stepEvents(sc.times, 64)
+		t.Run("histogram/"+sc.name, func(t *testing.T) { runOracle(t, histOpts(args), sc.spec, evs) })
+		t.Run("moments/"+sc.name, func(t *testing.T) { runOracle(t, momentsOpts(args), sc.spec, evs) })
+		t.Run("movingavg/"+sc.name, func(t *testing.T) { runOracle(t, movingAvgOpts(args), sc.spec, evs) })
 	}
 }
 

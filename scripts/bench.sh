@@ -4,12 +4,8 @@
 # (serial reference vs sharded, at 1/4/8 threads), the global combine
 # (sharded decode-once streamed tree on a 4-rank in-process world) and the
 # per-codec global combine (none/flate/block over a real TCP world,
-# recording raw and on-wire bytes per op alongside ns/op), then run the
-# execution-engine benchmarks (static vs work-stealing schedule on skewed
-# and uniform workloads) and emit BENCH_schedule.json with ns/op plus the
-# per-run steal and batch counters. Both files record the host's core
-# count: engine speedups only materialize with more cores than one. Then
-# run the observability benchmarks (scheduler overhead with tracing
+# recording raw and on-wire bytes per op alongside ns/op). Then run the
+# observability benchmarks (scheduler overhead with tracing
 # off/on/flight-recorded, plus the raw span-record costs) and emit
 # BENCH_obs.json — the "disabled path stays zero-overhead" record for the
 # tracing subsystem. Lastly run the streaming-layer benchmarks (one fired
@@ -64,37 +60,6 @@ END {
 }' "$raw" > "$out"
 
 echo "wrote $out"
-
-sched_out="BENCH_schedule.json"
-go test ./internal/core/ -run '^$' -bench 'BenchmarkEngine' \
-  -benchtime "$benchtime" | tee "$raw"
-
-awk -v cores="$(nproc 2>/dev/null || echo 1)" -v benchtime="$benchtime" '
-/^BenchmarkEngine/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)            # strip the -GOMAXPROCS suffix
-    ns = ""; steals = ""; batches = ""
-    for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")       ns = $(i - 1)
-        if ($i == "steals/run")  steals = $(i - 1)
-        if ($i == "batches/run") batches = $(i - 1)
-    }
-    if (ns != "") {
-        entries[++n] = sprintf("    \"%s\": {\"ns_per_op\": %s, \"steals_per_run\": %s, \"batches_per_run\": %s}",
-                               name, ns, steals == "" ? 0 : steals, batches == "" ? 0 : batches)
-    }
-}
-END {
-    printf "{\n"
-    printf "  \"cores\": %s,\n", cores
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"results\": {\n"
-    for (i = 1; i <= n; i++) printf "%s%s\n", entries[i], (i < n ? "," : "")
-    printf "  }\n"
-    printf "}\n"
-}' "$raw" > "$sched_out"
-
-echo "wrote $sched_out"
 
 obs_out="BENCH_obs.json"
 {
