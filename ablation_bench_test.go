@@ -105,7 +105,7 @@ func BenchmarkAblationEarlyEmission(b *testing.B) {
 				s := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
 					NumThreads: 2, ChunkSize: 1, NumIters: 1,
 				})
-				if err := s.Run2(data, out); err != nil {
+				if err := s.Run(data, out); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -118,7 +118,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		coord    = fs.String("coordinator", "", "rank 0 rendezvous address for a cross-process world (empty runs every rank in this process)")
 		retry    = fs.Int("retry-budget", 2, "re-dispatches of a single-rank job after its worker rank dies")
 		beat     = fs.Duration("heartbeat", 100*time.Millisecond, "cluster heartbeat interval (worker beats; coordinator declares silence death at 10x)")
-		codecPin = fs.String("codec", "auto", "wire/checkpoint codec: auto (negotiate best), none, flate, or block")
+		codecPin = fs.String("codec", "auto", "wire codec: auto (negotiate best), none, flate, or block")
 	)
 	tenants := map[string]serve.TenantConfig{}
 	fs.Func("tenant", "tenant WFQ spec name=weight[:quota[:class]] (repeatable)", func(v string) error {

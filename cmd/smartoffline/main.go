@@ -149,7 +149,7 @@ func analyze(data []float64, app string, buckets, k, window, threads int) error 
 		ma := analytics.NewMovingAverage(window, len(data), 0, true)
 		s := core.MustNewScheduler[float64, float64](ma, args)
 		out := make([]float64, len(data))
-		if err := s.Run2(data, out); err != nil {
+		if err := s.Run(data, out); err != nil {
 			return err
 		}
 		n := min(len(out), 10)

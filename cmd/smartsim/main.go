@@ -295,14 +295,14 @@ func makeApp(o options, stepElems int) (*pipeline, error) {
 		out := make([]float64, stepElems)
 		step := func(data []float64) error {
 			s.ResetCombinationMap()
-			return s.Run2(data, out)
+			return s.Run(data, out)
 		}
 		return &pipeline{
 			analyze: step,
 			feed:    s.Feed,
 			consume: func() error {
 				s.ResetCombinationMap()
-				return s.RunShared2(out)
+				return s.RunShared(out)
 			},
 			closeFeed: s.CloseFeed,
 			report: func() {

@@ -44,8 +44,8 @@ func (r *rangeObj) UnmarshalBinary(b []byte) error {
 func (minMaxApp) NewRedObj() core.RedObj {
 	return &rangeObj{Min: math.Inf(1), Max: math.Inf(-1)}
 }
-func (minMaxApp) GenKey(chunk.Chunk, []float64, core.CombMap) int { return 0 }
-func (minMaxApp) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
+func (minMaxApp) GenKey(chunk.Chunk, []float64) int { return 0 }
+func (minMaxApp) Accumulate(_ int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*rangeObj)
 	v := data[c.Start]
 	o.Min = math.Min(o.Min, v)

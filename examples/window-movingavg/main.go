@@ -33,7 +33,7 @@ func main() {
 			NumThreads: 2, ChunkSize: 1, NumIters: 1,
 		})
 		out := make([]float64, len(data))
-		if err := sched.Run2(data, out); err != nil {
+		if err := sched.Run(data, out); err != nil {
 			log.Fatal(err)
 		}
 		return out, sched.Stats()

@@ -95,7 +95,7 @@ func BenchmarkMovingAverageWindow25(b *testing.B) {
 		s := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
 			NumThreads: 1, ChunkSize: 1, NumIters: 1,
 		})
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkMovingMedianWindow25(b *testing.B) {
 		s := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
 			NumThreads: 1, ChunkSize: 1, NumIters: 1,
 		})
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkSavitzkyGolayWindow25(b *testing.B) {
 		s := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
 			NumThreads: 1, ChunkSize: 1, NumIters: 1,
 		})
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			b.Fatal(err)
 		}
 	}

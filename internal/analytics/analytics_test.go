@@ -453,7 +453,7 @@ func TestMovingAverageMatchesNaive(t *testing.T) {
 		app := NewMovingAverage(7, len(in), 0, trigger)
 		s := core.MustNewScheduler[float64, float64](app, args(3, 1, 1))
 		out := make([]float64, len(in))
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
 		}
 		want := naiveMovingAverage(in, 7)
@@ -471,7 +471,7 @@ func TestMovingAverageTriggerReducesFootprint(t *testing.T) {
 		app := NewMovingAverage(25, len(in), 0, trigger)
 		s := core.MustNewScheduler[float64, float64](app, args(2, 1, 1))
 		out := make([]float64, len(in))
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()
@@ -503,7 +503,7 @@ func TestMovingMedianMatchesNaive(t *testing.T) {
 		app := NewMovingMedian(11, len(in), 0, trigger)
 		s := core.MustNewScheduler[float64, float64](app, args(2, 1, 1))
 		out := make([]float64, len(in))
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
 		}
 		want := naiveMovingMedian(in, 11)
@@ -537,7 +537,7 @@ func TestKernelDensityMatchesNaive(t *testing.T) {
 	app := NewKernelDensity(w, len(in), 0, false, 0)
 	s := core.MustNewScheduler[float64, float64](app, args(2, 1, 1))
 	out := make([]float64, len(in))
-	if err := s.Run2(in, out); err != nil {
+	if err := s.Run(in, out); err != nil {
 		t.Fatal(err)
 	}
 	h := w / 2
@@ -563,7 +563,7 @@ func TestKernelDensityTriggerEquivalence(t *testing.T) {
 		app := NewKernelDensity(25, len(in), 0, trigger, 0)
 		s := core.MustNewScheduler[float64, float64](app, args(2, 1, 1))
 		out := make([]float64, len(in))
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -606,7 +606,7 @@ func TestSavGolPreservesPolynomials(t *testing.T) {
 	app := NewSavitzkyGolay(7, 2, n, 0, false)
 	s := core.MustNewScheduler[float64, float64](app, args(2, 1, 1))
 	out := make([]float64, n)
-	if err := s.Run2(in, out); err != nil {
+	if err := s.Run(in, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := 3; i < n-3; i++ {
@@ -625,7 +625,7 @@ func TestSavGolSmoothsNoise(t *testing.T) {
 	app := NewSavitzkyGolay(15, 2, n, 0, true)
 	s := core.MustNewScheduler[float64, float64](app, args(2, 1, 1))
 	out := make([]float64, n)
-	if err := s.Run2(noisy, out); err != nil {
+	if err := s.Run(noisy, out); err != nil {
 		t.Fatal(err)
 	}
 	// Residual to the clean signal must shrink vs the noisy input.
@@ -671,7 +671,7 @@ func TestWindowDistributedMatchesSingleNode(t *testing.T) {
 				NumThreads: 2, ChunkSize: 1, NumIters: 1, Comm: comms[r], OutBase: r * per,
 			})
 			out := make([]float64, per)
-			if err := s.Run2(in[r*per:(r+1)*per], out); err != nil {
+			if err := s.Run(in[r*per:(r+1)*per], out); err != nil {
 				t.Errorf("rank %d: %v", r, err)
 				return
 			}

@@ -15,7 +15,7 @@ import (
 // runAndEncode builds a scheduler for app with the given shard count, runs
 // it over in, and returns the encoded combination map.
 func runAndEncode[Out any](t *testing.T, app core.Analytics[float64, Out],
-	a core.SchedArgs, in []float64, outLen int, multi bool) []byte {
+	a core.SchedArgs, in []float64, outLen int) []byte {
 
 	t.Helper()
 	s, err := core.NewScheduler[float64, Out](app, a)
@@ -26,12 +26,7 @@ func runAndEncode[Out any](t *testing.T, app core.Analytics[float64, Out],
 	if outLen > 0 {
 		out = make([]Out, outLen)
 	}
-	if multi {
-		err = s.Run2(in, out)
-	} else {
-		err = s.Run(in, out)
-	}
-	if err != nil {
+	if err := s.Run(in, out); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := s.EncodeCombinationMap()
@@ -43,9 +38,11 @@ func runAndEncode[Out any](t *testing.T, app core.Analytics[float64, Out],
 
 // TestShardedCombineByteIdentical is the cross-application property test for
 // the sharded combination pipeline: for each of the paper's nine
-// applications, running with one combine shard (the serial reference) and
-// with the default shard-parallel pipeline must produce byte-identical
-// EncodeCombinationMap output.
+// applications, plus the 2-D moving average and matrix multiplication,
+// running with one combine shard (the serial reference) and with the default
+// shard-parallel pipeline must produce byte-identical EncodeCombinationMap
+// output. Every case goes through plain Run: the app's GenKey or GenKeys
+// selects the key path.
 func TestShardedCombineByteIdentical(t *testing.T) {
 	const n = 6000
 	vals := synth(n, func(i int) float64 { return float64((i*37)%200)/10 - 10 })
@@ -63,44 +60,53 @@ func TestShardedCombineByteIdentical(t *testing.T) {
 	}{
 		{"histogram", func(t *testing.T, shards int) []byte {
 			return runAndEncode[int64](t, NewHistogram(-10, 10, 64),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, 64, false)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, 64)
 		}},
 		{"gridagg", func(t *testing.T, shards int) []byte {
 			return runAndEncode[float64](t, NewGridAgg(100, 0),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, 60, false)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, 60)
 		}},
 		{"moments", func(t *testing.T, shards int) []byte {
 			return runAndEncode[float64](t, NewMoments(100, 0),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, 60, false)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, 60)
 		}},
 		{"mutualinfo", func(t *testing.T, shards int) []byte {
 			return runAndEncode[int64](t, NewMutualInfo(-10, 10, 16, -10, 10, 16),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 2, CombineShards: shards}, vals, 0, false)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 2, CombineShards: shards}, vals, 0)
 		}},
 		{"logreg", func(t *testing.T, shards int) []byte {
 			return runAndEncode[float64](t, NewLogReg(4, 0.1),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 5, NumIters: 3, CombineShards: shards}, recs, 0, false)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 5, NumIters: 3, CombineShards: shards}, recs, 0)
 		}},
 		{"kmeans", func(t *testing.T, shards int) []byte {
 			return runAndEncode[[]float64](t, NewKMeans(4, 4),
 				core.SchedArgs{NumThreads: 4, ChunkSize: 4, NumIters: 3, CombineShards: shards,
-					Extra: initCentroidsTest(4, 4)}, vals, 0, false)
+					Extra: initCentroidsTest(4, 4)}, vals, 0)
 		}},
 		{"movingavg", func(t *testing.T, shards int) []byte {
 			return runAndEncode[float64](t, NewMovingAverage(25, n, 0, false),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n, true)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n)
 		}},
 		{"movingmedian", func(t *testing.T, shards int) []byte {
 			return runAndEncode[float64](t, NewMovingMedian(25, n, 0, false),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n, true)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n)
 		}},
 		{"kde", func(t *testing.T, shards int) []byte {
 			return runAndEncode[float64](t, NewKernelDensity(25, n, 0, false, 1.5),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n, true)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n)
 		}},
 		{"savgol", func(t *testing.T, shards int) []byte {
 			return runAndEncode[float64](t, NewSavitzkyGolay(25, 2, n, 0, false),
-				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n, true)
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals, n)
+		}},
+		{"movingavg2d", func(t *testing.T, shards int) []byte {
+			return runAndEncode[float64](t, NewMovingAverage2D(60, 25, 2, false),
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals[:60*25*2], 60*25*2)
+		}},
+		{"matmul", func(t *testing.T, shards int) []byte {
+			const dim = 40
+			return runAndEncode[float64](t, NewMatMul(dim, vals[:dim*dim], false),
+				core.SchedArgs{NumThreads: 4, ChunkSize: 1, CombineShards: shards}, vals[dim*dim:2*dim*dim], dim*dim)
 		}},
 	}
 	for _, tc := range cases {

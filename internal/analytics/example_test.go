@@ -39,7 +39,7 @@ func ExampleMovingMedian() {
 		NumThreads: 1, ChunkSize: 1,
 	})
 	out := make([]float64, len(data))
-	if err := sched.Run2(data, out); err != nil {
+	if err := sched.Run(data, out); err != nil {
 		panic(err)
 	}
 	fmt.Println(out)

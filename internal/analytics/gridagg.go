@@ -28,13 +28,13 @@ func NewGridAgg(gridSize, base int) *GridAgg {
 // NewRedObj implements core.Analytics.
 func (g *GridAgg) NewRedObj() core.RedObj { return &SumCountObj{} }
 
-// GenKey implements core.Analytics: the key is the global grid cell id.
-func (g *GridAgg) GenKey(c chunk.Chunk, _ []float64, _ core.CombMap) int {
+// GenKey implements core.Keyer: the key is the global grid cell id.
+func (g *GridAgg) GenKey(c chunk.Chunk, _ []float64) int {
 	return (g.Base + c.Start) / g.GridSize
 }
 
 // Accumulate implements core.Analytics.
-func (g *GridAgg) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
+func (g *GridAgg) Accumulate(_ int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*SumCountObj)
 	o.Sum += data[c.Start]
 	o.Count++

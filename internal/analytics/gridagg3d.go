@@ -63,9 +63,9 @@ func (g *GridAgg3D) BrickID(x, y, z int) int {
 // NewRedObj implements core.Analytics.
 func (g *GridAgg3D) NewRedObj() core.RedObj { return &SumCountObj{} }
 
-// GenKey implements core.Analytics: recover the global (x, y, z) from the
+// GenKey implements core.Keyer: recover the global (x, y, z) from the
 // flattened tile position and return the global brick id.
-func (g *GridAgg3D) GenKey(c chunk.Chunk, _ []float64, _ core.CombMap) int {
+func (g *GridAgg3D) GenKey(c chunk.Chunk, _ []float64) int {
 	pos := c.Start
 	x := pos % g.NX
 	y := (pos/g.NX)%g.NY + g.BaseY
@@ -74,7 +74,7 @@ func (g *GridAgg3D) GenKey(c chunk.Chunk, _ []float64, _ core.CombMap) int {
 }
 
 // Accumulate implements core.Analytics.
-func (g *GridAgg3D) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
+func (g *GridAgg3D) Accumulate(_ int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*SumCountObj)
 	o.Sum += data[c.Start]
 	o.Count++

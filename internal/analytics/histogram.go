@@ -30,8 +30,8 @@ func NewHistogram(min, max float64, buckets int) *Histogram {
 // NewRedObj implements core.Analytics.
 func (h *Histogram) NewRedObj() core.RedObj { return &CountObj{} }
 
-// GenKey implements core.Analytics: the bucket id of the element's value.
-func (h *Histogram) GenKey(c chunk.Chunk, data []float64, _ core.CombMap) int {
+// GenKey implements core.Keyer: the bucket id of the element's value.
+func (h *Histogram) GenKey(c chunk.Chunk, data []float64) int {
 	k := int((data[c.Start] - h.Min) / h.Width)
 	if k < 0 {
 		return 0
@@ -43,7 +43,7 @@ func (h *Histogram) GenKey(c chunk.Chunk, data []float64, _ core.CombMap) int {
 }
 
 // Accumulate implements core.Analytics.
-func (h *Histogram) Accumulate(_ chunk.Chunk, _ []float64, obj core.RedObj) {
+func (h *Histogram) Accumulate(_ int, _ chunk.Chunk, _ []float64, obj core.RedObj) {
 	obj.(*CountObj).Count++
 }
 

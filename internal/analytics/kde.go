@@ -43,26 +43,15 @@ func (k *KernelDensity) weight(offset int) float64 {
 // NewRedObj implements core.Analytics.
 func (k *KernelDensity) NewRedObj() core.RedObj { return &WeightedObj{} }
 
-// GenKey implements core.Analytics; window applications use GenKeys.
-func (k *KernelDensity) GenKey(chunk.Chunk, []float64, core.CombMap) int {
-	panic("analytics: kernel density requires Run2 (gen_keys)")
-}
-
-// AccumulateKeyed implements core.PositionalAccumulator: the contribution's
-// weight depends on its offset from the window center (the key).
-func (k *KernelDensity) AccumulateKeyed(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
+// Accumulate implements core.Analytics: the contribution's weight depends
+// on its offset from the window center (the key).
+func (k *KernelDensity) Accumulate(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*WeightedObj)
 	w := k.weight(k.Base + c.Start - key)
 	o.WSum += w * data[c.Start]
 	o.Weight += w
 	o.Count++
 	o.Expected = k.expected(key)
-}
-
-// Accumulate implements core.Analytics; unreachable because the runtime
-// prefers AccumulateKeyed, but required by the interface.
-func (k *KernelDensity) Accumulate(chunk.Chunk, []float64, core.RedObj) {
-	panic("analytics: kernel density requires positional accumulation")
 }
 
 // Merge implements core.Analytics.

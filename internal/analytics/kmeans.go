@@ -36,14 +36,12 @@ func (km *KMeans) NewRedObj() core.RedObj {
 	return &ClusterObj{Centroid: make([]float64, km.Dims), Sum: make([]float64, km.Dims)}
 }
 
-// GenKey implements core.Analytics: the id of the nearest centroid, read
-// from the cached centroid matrix (refreshed whenever the combination map
-// changes).
-func (km *KMeans) GenKey(c chunk.Chunk, data []float64, com core.CombMap) int {
+// GenKey implements core.Keyer: the id of the nearest centroid, read from
+// the cached centroid matrix. ProcessExtraData, which the runtime calls
+// before every run's first reduction phase, sets the cache and PostCombine
+// refreshes it, so it is always current.
+func (km *KMeans) GenKey(c chunk.Chunk, data []float64) int {
 	cs := km.centroids
-	if cs == nil {
-		cs = km.snapshot(com)
-	}
 	p := data[c.Start : c.Start+km.Dims]
 	best, bestD := 0, -1.0
 	for k := 0; k < km.K; k++ {
@@ -71,7 +69,7 @@ func (km *KMeans) snapshot(com core.CombMap) []float64 {
 
 // Accumulate implements core.Analytics: vector-add the point onto the
 // cluster's Sum and bump its Size.
-func (km *KMeans) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
+func (km *KMeans) Accumulate(_ int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*ClusterObj)
 	for i := 0; i < km.Dims; i++ {
 		o.Sum[i] += data[c.Start+i]

@@ -34,14 +34,14 @@ func (l *LogReg) NewRedObj() core.RedObj {
 	return &GradObj{Weights: make([]float64, l.Dims), Grad: make([]float64, l.Dims)}
 }
 
-// GenKey implements core.Analytics: every record folds into key 0.
-func (l *LogReg) GenKey(chunk.Chunk, []float64, core.CombMap) int { return 0 }
+// GenKey implements core.Keyer: every record folds into key 0.
+func (l *LogReg) GenKey(chunk.Chunk, []float64) int { return 0 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
 // Accumulate implements core.Analytics: accumulate the per-record gradient
 // of the log loss using the weights carried by the (distributed) object.
-func (l *LogReg) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
+func (l *LogReg) Accumulate(_ int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*GradObj)
 	x := data[c.Start : c.Start+l.Dims]
 	y := data[c.Start+l.Dims]

@@ -31,14 +31,9 @@ func NewMatMul(n int, b []float64, trigger bool) *MatMul {
 // NewRedObj implements core.Analytics.
 func (m *MatMul) NewRedObj() core.RedObj { return &SumCountObj{} }
 
-// GenKey implements core.Analytics; MatMul uses GenKeys.
-func (m *MatMul) GenKey(chunk.Chunk, []float64, core.CombMap) int {
-	panic("analytics: matrix multiplication requires Run2 (gen_keys)")
-}
-
 // GenKeys implements core.MultiKeyer: A[i][k] contributes to the whole
 // output row i — keys i*N+j for every column j.
-func (m *MatMul) GenKeys(c chunk.Chunk, _ []float64, _ core.CombMap, keys []int) []int {
+func (m *MatMul) GenKeys(c chunk.Chunk, _ []float64, keys []int) []int {
 	i := c.Start / m.N
 	for j := 0; j < m.N; j++ {
 		keys = append(keys, i*m.N+j)
@@ -46,9 +41,8 @@ func (m *MatMul) GenKeys(c chunk.Chunk, _ []float64, _ core.CombMap, keys []int)
 	return keys
 }
 
-// AccumulateKeyed implements core.PositionalAccumulator: add
-// A[i][k] * B[k][j] to C[i][j].
-func (m *MatMul) AccumulateKeyed(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
+// Accumulate implements core.Analytics: add A[i][k] * B[k][j] to C[i][j].
+func (m *MatMul) Accumulate(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*SumCountObj)
 	k := c.Start % m.N
 	j := key % m.N
@@ -57,12 +51,6 @@ func (m *MatMul) AccumulateKeyed(key int, c chunk.Chunk, data []float64, obj cor
 	if m.EnableTrigger {
 		o.Expected = int64(m.N)
 	}
-}
-
-// Accumulate implements core.Analytics; unreachable because the runtime
-// prefers AccumulateKeyed, but required by the interface.
-func (m *MatMul) Accumulate(chunk.Chunk, []float64, core.RedObj) {
-	panic("analytics: matrix multiplication requires positional accumulation")
 }
 
 // Merge implements core.Analytics.

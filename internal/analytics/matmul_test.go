@@ -39,7 +39,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 			NumThreads: 3, ChunkSize: 1, NumIters: 1,
 		})
 		out := make([]float64, n*n)
-		if err := s.Run2(a, out); err != nil {
+		if err := s.Run(a, out); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -63,7 +63,7 @@ func TestMatMulEarlyEmissionBoundsState(t *testing.T) {
 			NumThreads: 1, ChunkSize: 1, NumIters: 1,
 		})
 		out := make([]float64, n*n)
-		if err := s.Run2(a, out); err != nil {
+		if err := s.Run(a, out); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()
@@ -93,7 +93,7 @@ func TestMatMulIdentity(t *testing.T) {
 		NumThreads: 2, ChunkSize: 1, NumIters: 1,
 	})
 	out := make([]float64, n*n)
-	if err := s.Run2(a, out); err != nil {
+	if err := s.Run(a, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {

@@ -163,8 +163,8 @@ func (m *MomentsObj) Kurtosis() float64 {
 // NewRedObj implements core.Analytics.
 func (mo *Moments) NewRedObj() core.RedObj { return &MomentsObj{} }
 
-// GenKey implements core.Analytics.
-func (mo *Moments) GenKey(c chunk.Chunk, _ []float64, _ core.CombMap) int {
+// GenKey implements core.Keyer.
+func (mo *Moments) GenKey(c chunk.Chunk, _ []float64) int {
 	if mo.GridSize == 0 {
 		return 0
 	}
@@ -172,7 +172,7 @@ func (mo *Moments) GenKey(c chunk.Chunk, _ []float64, _ core.CombMap) int {
 }
 
 // Accumulate implements core.Analytics.
-func (mo *Moments) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
+func (mo *Moments) Accumulate(_ int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	obj.(*MomentsObj).Add(data[c.Start])
 }
 

@@ -31,14 +31,9 @@ func NewMovingAverage2D(nx, ny, half int, trigger bool) *MovingAverage2D {
 // NewRedObj implements core.Analytics.
 func (m *MovingAverage2D) NewRedObj() core.RedObj { return &SumCountObj{} }
 
-// GenKey implements core.Analytics; the 2-D window uses GenKeys.
-func (m *MovingAverage2D) GenKey(chunk.Chunk, []float64, core.CombMap) int {
-	panic("analytics: 2-D moving average requires Run2 (gen_keys)")
-}
-
 // GenKeys implements core.MultiKeyer: the element at (x, y) of its plane
 // contributes to every patch centered within the clamped square around it.
-func (m *MovingAverage2D) GenKeys(c chunk.Chunk, _ []float64, _ core.CombMap, keys []int) []int {
+func (m *MovingAverage2D) GenKeys(c chunk.Chunk, _ []float64, keys []int) []int {
 	plane := m.NX * m.NY
 	z := c.Start / plane
 	rem := c.Start % plane
@@ -64,20 +59,12 @@ func (m *MovingAverage2D) expected(key int) int64 {
 	return int64(w * h)
 }
 
-// AccumulateKeyed implements core.PositionalAccumulator.
-func (m *MovingAverage2D) AccumulateKeyed(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
+// Accumulate implements core.Analytics.
+func (m *MovingAverage2D) Accumulate(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*SumCountObj)
 	o.Sum += data[c.Start]
 	o.Count++
 	o.Expected = m.expected(key)
-}
-
-// Accumulate implements core.Analytics (non-positional fallback; no early
-// emission since border patches have variable fan-in).
-func (m *MovingAverage2D) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
-	o := obj.(*SumCountObj)
-	o.Sum += data[c.Start]
-	o.Count++
 }
 
 // Merge implements core.Analytics.

@@ -35,7 +35,7 @@ func TestMovingAverage2DMatchesNaive(t *testing.T) {
 		app := NewMovingAverage2D(nx, ny, half, trigger)
 		s := core.MustNewScheduler[float64, float64](app, args(3, 1, 1))
 		out := make([]float64, len(in))
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -53,7 +53,7 @@ func TestMovingAverage2DTriggerBoundsState(t *testing.T) {
 		app := NewMovingAverage2D(nx, ny, half, trigger)
 		s := core.MustNewScheduler[float64, float64](app, args(1, 1, 1))
 		out := make([]float64, len(in))
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()
@@ -78,7 +78,7 @@ func TestMovingAverage2DConstField(t *testing.T) {
 	app := NewMovingAverage2D(nx, ny, 2, true)
 	s := core.MustNewScheduler[float64, float64](app, args(2, 1, 1))
 	out := make([]float64, len(in))
-	if err := s.Run2(in, out); err != nil {
+	if err := s.Run(in, out); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {

@@ -45,15 +45,15 @@ func clampBucket(v, min, width float64, n int) int {
 // NewRedObj implements core.Analytics.
 func (m *MutualInfo) NewRedObj() core.RedObj { return &CountObj{} }
 
-// GenKey implements core.Analytics: the joint cell id ix*YBuckets + iy.
-func (m *MutualInfo) GenKey(c chunk.Chunk, data []float64, _ core.CombMap) int {
+// GenKey implements core.Keyer: the joint cell id ix*YBuckets + iy.
+func (m *MutualInfo) GenKey(c chunk.Chunk, data []float64) int {
 	ix := clampBucket(data[c.Start], m.XMin, m.XWidth, m.XBuckets)
 	iy := clampBucket(data[c.Start+1], m.YMin, m.YWidth, m.YBuckets)
 	return ix*m.YBuckets + iy
 }
 
 // Accumulate implements core.Analytics.
-func (m *MutualInfo) Accumulate(_ chunk.Chunk, _ []float64, obj core.RedObj) {
+func (m *MutualInfo) Accumulate(_ int, _ chunk.Chunk, _ []float64, obj core.RedObj) {
 	obj.(*CountObj).Count++
 }
 

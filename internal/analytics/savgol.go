@@ -116,25 +116,15 @@ func (s *SavitzkyGolay) Coeffs() []float64 { return append([]float64(nil), s.coe
 // NewRedObj implements core.Analytics.
 func (s *SavitzkyGolay) NewRedObj() core.RedObj { return &WeightedObj{} }
 
-// GenKey implements core.Analytics; window applications use GenKeys.
-func (s *SavitzkyGolay) GenKey(chunk.Chunk, []float64, core.CombMap) int {
-	panic("analytics: Savitzky-Golay requires Run2 (gen_keys)")
-}
-
-// AccumulateKeyed implements core.PositionalAccumulator.
-func (s *SavitzkyGolay) AccumulateKeyed(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
+// Accumulate implements core.Analytics: the convolution weight of a
+// contribution is indexed by its offset from the window center (the key).
+func (s *SavitzkyGolay) Accumulate(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*WeightedObj)
 	w := s.coeffs[s.Base+c.Start-key+s.half()]
 	o.WSum += w * data[c.Start]
 	o.Weight += w
 	o.Count++
 	o.Expected = s.expected(key)
-}
-
-// Accumulate implements core.Analytics; unreachable because the runtime
-// prefers AccumulateKeyed, but required by the interface.
-func (s *SavitzkyGolay) Accumulate(chunk.Chunk, []float64, core.RedObj) {
-	panic("analytics: Savitzky-Golay requires positional accumulation")
 }
 
 // Merge implements core.Analytics.

@@ -42,43 +42,43 @@ func TestStoreByteIdentical(t *testing.T) {
 	}{
 		{"histogram", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
-			return runAndEncode[int64](t, NewHistogram(-10, 10, 64), a, vals, 64, false)
+			return runAndEncode[int64](t, NewHistogram(-10, 10, 64), a, vals, 64)
 		}},
 		{"gridagg", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
-			return runAndEncode[float64](t, NewGridAgg(100, 0), a, ivals, 60, false)
+			return runAndEncode[float64](t, NewGridAgg(100, 0), a, ivals, 60)
 		}},
 		{"moments", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
-			return runAndEncode[float64](t, NewMoments(100, 0), a, cellvals, 60, false)
+			return runAndEncode[float64](t, NewMoments(100, 0), a, cellvals, 60)
 		}},
 		{"mutualinfo", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 2
-			return runAndEncode[int64](t, NewMutualInfo(-10, 10, 16, -10, 10, 16), a, vals, 0, false)
+			return runAndEncode[int64](t, NewMutualInfo(-10, 10, 16, -10, 10, 16), a, vals, 0)
 		}},
 		{"logreg", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize, a.NumIters = 5, 1
-			return runAndEncode[float64](t, NewLogReg(4, 0.1), a, recs, 0, false)
+			return runAndEncode[float64](t, NewLogReg(4, 0.1), a, recs, 0)
 		}},
 		{"kmeans", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize, a.NumIters, a.Extra = 4, 3, initCentroidsTest(4, 4)
-			return runAndEncode[[]float64](t, NewKMeans(4, 4), a, ivals, 0, false)
+			return runAndEncode[[]float64](t, NewKMeans(4, 4), a, ivals, 0)
 		}},
 		{"movingavg", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
-			return runAndEncode[float64](t, NewMovingAverage(25, n, 0, false), a, ivals, n, true)
+			return runAndEncode[float64](t, NewMovingAverage(25, n, 0, false), a, ivals, n)
 		}},
 		{"movingmedian", false, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
-			return runAndEncode[float64](t, NewMovingMedian(25, n, 0, false), a, vals, n, true)
+			return runAndEncode[float64](t, NewMovingMedian(25, n, 0, false), a, vals, n)
 		}},
 		{"kde", true, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
-			return runAndEncode[float64](t, NewKernelDensity(25, n, 0, false, 1.5), a, vals, n, true)
+			return runAndEncode[float64](t, NewKernelDensity(25, n, 0, false, 1.5), a, vals, n)
 		}},
 		{"savgol", true, func(t *testing.T, a core.SchedArgs) []byte {
 			a.ChunkSize = 1
-			return runAndEncode[float64](t, NewSavitzkyGolay(25, 2, n, 0, false), a, vals, n, true)
+			return runAndEncode[float64](t, NewSavitzkyGolay(25, 2, n, 0, false), a, vals, n)
 		}},
 	}
 	for _, tc := range cases {

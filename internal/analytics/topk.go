@@ -151,11 +151,11 @@ func (o *TopKObj) Sorted() []Extreme {
 // NewRedObj implements core.Analytics.
 func (t *TopK) NewRedObj() core.RedObj { return &TopKObj{K: t.K} }
 
-// GenKey implements core.Analytics: a single global key.
-func (t *TopK) GenKey(chunk.Chunk, []float64, core.CombMap) int { return 0 }
+// GenKey implements core.Keyer: a single global key.
+func (t *TopK) GenKey(chunk.Chunk, []float64) int { return 0 }
 
 // Accumulate implements core.Analytics.
-func (t *TopK) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
+func (t *TopK) Accumulate(_ int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	obj.(*TopKObj).Push(int64(t.Base+c.Start), data[c.Start])
 }
 

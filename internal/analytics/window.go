@@ -33,7 +33,7 @@ func newWindow(size, total, base int, trigger bool) Window {
 func (w Window) half() int { return w.Size / 2 }
 
 // GenKeys implements core.MultiKeyer for all window applications.
-func (w Window) GenKeys(c chunk.Chunk, _ []float64, _ core.CombMap, keys []int) []int {
+func (w Window) GenKeys(c chunk.Chunk, _ []float64, keys []int) []int {
 	center := w.Base + c.Start
 	lo := max(center-w.half(), 0)
 	hi := min(center+w.half(), w.Total-1)
@@ -73,28 +73,12 @@ func NewMovingAverage(size, total, base int, trigger bool) *MovingAverage {
 // NewRedObj implements core.Analytics.
 func (m *MovingAverage) NewRedObj() core.RedObj { return &SumCountObj{} }
 
-// GenKey implements core.Analytics; window applications use GenKeys.
-func (m *MovingAverage) GenKey(chunk.Chunk, []float64, core.CombMap) int {
-	panic("analytics: moving average requires Run2 (gen_keys)")
-}
-
-// AccumulateKeyed implements core.PositionalAccumulator.
-func (m *MovingAverage) AccumulateKeyed(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
+// Accumulate implements core.Analytics.
+func (m *MovingAverage) Accumulate(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*SumCountObj)
 	o.Sum += data[c.Start]
 	o.Count++
 	o.Expected = m.expected(key)
-}
-
-// Accumulate implements core.Analytics (the non-positional fallback, with
-// the paper's constant-size trigger).
-func (m *MovingAverage) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
-	o := obj.(*SumCountObj)
-	o.Sum += data[c.Start]
-	o.Count++
-	if m.EnableTrigger {
-		o.Expected = int64(m.Size)
-	}
 }
 
 // Merge implements core.Analytics.
@@ -132,25 +116,11 @@ func NewMovingMedian(size, total, base int, trigger bool) *MovingMedian {
 // NewRedObj implements core.Analytics.
 func (m *MovingMedian) NewRedObj() core.RedObj { return &ValuesObj{} }
 
-// GenKey implements core.Analytics; window applications use GenKeys.
-func (m *MovingMedian) GenKey(chunk.Chunk, []float64, core.CombMap) int {
-	panic("analytics: moving median requires Run2 (gen_keys)")
-}
-
-// AccumulateKeyed implements core.PositionalAccumulator.
-func (m *MovingMedian) AccumulateKeyed(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
+// Accumulate implements core.Analytics.
+func (m *MovingMedian) Accumulate(key int, c chunk.Chunk, data []float64, obj core.RedObj) {
 	o := obj.(*ValuesObj)
 	o.Values = append(o.Values, data[c.Start])
 	o.Expected = m.expected(key)
-}
-
-// Accumulate implements core.Analytics.
-func (m *MovingMedian) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {
-	o := obj.(*ValuesObj)
-	o.Values = append(o.Values, data[c.Start])
-	if m.EnableTrigger {
-		o.Expected = int64(m.Size)
-	}
 }
 
 // Merge implements core.Analytics.

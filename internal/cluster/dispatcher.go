@@ -147,10 +147,14 @@ func NewDispatcher(comm *mpi.Comm, cfg Config) (*Dispatcher, error) {
 		jobs:    make(map[string]*dispatch),
 		stop:    make(chan struct{}),
 	}
+	// The worker map is complete before the first receiver starts: the
+	// receivers read it under d.mu, and these writes take no lock.
 	now := time.Now()
 	for r := 1; r < comm.Size(); r++ {
 		d.workers[r] = &workerState{rank: r, alive: true, lastSeen: now}
 		d.met.workers.Add(1)
+	}
+	for r := 1; r < comm.Size(); r++ {
 		d.wg.Add(1)
 		go d.receiver(r)
 	}
@@ -590,5 +594,9 @@ func (d *Dispatcher) Shutdown() (*obs.ClusterSnapshot, error) {
 	for _, r := range alive {
 		send(d.comm, r, tagCtl, d.encFor(r), envelope{Kind: kindShutdown})
 	}
+	// The workers gauge counts this dispatcher's live workers; once they
+	// are told to exit it must drop back, or a later dispatcher on the same
+	// registry would report them on top of its own.
+	d.met.workers.Add(-int64(len(alive)))
 	return cs, err
 }

@@ -22,11 +22,11 @@ type cancellingApp struct {
 	cancel context.CancelFunc
 }
 
-func (a *cancellingApp) GenKey(c chunk.Chunk, data []int, m CombMap) int {
+func (a *cancellingApp) GenKey(c chunk.Chunk, data []int) int {
 	if a.calls.Add(1) == a.at {
 		a.cancel()
 	}
-	return a.bucketApp.GenKey(c, data, m)
+	return a.bucketApp.GenKey(c, data)
 }
 
 func TestRunContextCancelledBeforeStart(t *testing.T) {
@@ -137,7 +137,7 @@ func TestSubscribeEarlyEmitsDeliversTriggeredValues(t *testing.T) {
 		mu.Unlock()
 	})
 	out := make([]float64, n)
-	if err := s.Run2(in, out); err != nil {
+	if err := s.Run(in, out); err != nil {
 		t.Fatal(err)
 	}
 	if int64(len(emitted)) != s.Stats().EmittedEarly {

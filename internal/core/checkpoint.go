@@ -18,14 +18,13 @@ var (
 	checkpointMagic2 = []byte("SMARTCK2")
 )
 
-// WriteCheckpoint persists the combination map to a file using the encoding
-// configured in SchedArgs.CheckpointEncoding (codec.None — the byte-stable
-// legacy format — by default). For iterative analytics whose state lives
-// entirely in the combination map (k-means centroids, regression weights),
-// this checkpoints the job: a restored scheduler continues exactly where the
-// saved one stopped.
+// WriteCheckpoint persists the combination map to a file in the byte-stable
+// raw SMARTCK1 format (WriteCheckpointEnc picks a codec). For iterative
+// analytics whose state lives entirely in the combination map (k-means
+// centroids, regression weights), this checkpoints the job: a restored
+// scheduler continues exactly where the saved one stopped.
 func (s *Scheduler[In, Out]) WriteCheckpoint(path string) error {
-	return s.WriteCheckpointEnc(path, s.args.CheckpointEncoding)
+	return s.WriteCheckpointEnc(path, codec.None)
 }
 
 // WriteCheckpointEnc is WriteCheckpoint with an explicit payload encoding.

@@ -17,7 +17,7 @@ func TestCheckpointRestoreResumesTraining(t *testing.T) {
 
 	// Run 5 iterations, checkpoint, then resume in a fresh scheduler for 5
 	// more; must equal an uninterrupted 10-iteration run.
-	first := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	first := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 5, Extra: []float64{10, 60},
 	})
 	if err := first.Run(in, nil); err != nil {
@@ -27,7 +27,7 @@ func TestCheckpointRestoreResumesTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	resumed := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 5, Extra: []float64{10, 60},
 	})
 	if err := resumed.ReadCheckpoint(ck); err != nil {
@@ -38,7 +38,7 @@ func TestCheckpointRestoreResumesTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reference := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	reference := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 10, Extra: []float64{10, 60},
 	})
 	want := make([]float64, 2)
@@ -57,7 +57,7 @@ func TestCheckpointRoundTripsByteIdentically(t *testing.T) {
 	ck1 := filepath.Join(dir, "first.ck")
 	ck2 := filepath.Join(dir, "second.ck")
 
-	s := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	s := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 2, ChunkSize: 1, NumIters: 3, Extra: []float64{10, 60},
 	})
 	var in []float64
@@ -71,7 +71,7 @@ func TestCheckpointRoundTripsByteIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	restored := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 2, ChunkSize: 1, NumIters: 3, Extra: []float64{10, 60},
 	})
 	if err := restored.ReadCheckpoint(ck1); err != nil {
@@ -102,7 +102,7 @@ func TestCheckpointRestoreOverwritesDivergedState(t *testing.T) {
 	ck := filepath.Join(dir, "kmeans.ck")
 
 	// Run 5 iterations and checkpoint that state.
-	s := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	s := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 5, Extra: []float64{10, 60},
 	})
 	if err := s.Run(in, nil); err != nil {
@@ -117,7 +117,7 @@ func TestCheckpointRestoreOverwritesDivergedState(t *testing.T) {
 	// diverged combination map and reset run statistics — no double-counted
 	// accumulators, no stale residue — so 5 post-restore iterations must
 	// equal an uninterrupted 10-iteration run.
-	cont := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	cont := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 5, Extra: []float64{30, 90},
 	})
 	if err := cont.Run(in, nil); err != nil {
@@ -134,7 +134,7 @@ func TestCheckpointRestoreOverwritesDivergedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reference := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	reference := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 10, Extra: []float64{10, 60},
 	})
 	want := make([]float64, 2)

@@ -56,9 +56,9 @@ func (v *vecObj) UnmarshalBinary(data []byte) error {
 // reduction-side hooks are never exercised there.
 type vecApp struct{ dims int }
 
-func (a vecApp) NewRedObj() RedObj                                    { return &vecObj{} }
-func (a vecApp) GenKey(c chunk.Chunk, data []float64, _ CombMap) int  { return 0 }
-func (a vecApp) Accumulate(c chunk.Chunk, data []float64, obj RedObj) {}
+func (a vecApp) NewRedObj() RedObj                                           { return &vecObj{} }
+func (a vecApp) GenKey(c chunk.Chunk, data []float64) int                    { return 0 }
+func (a vecApp) Accumulate(_ int, c chunk.Chunk, data []float64, obj RedObj) {}
 func (a vecApp) Merge(src, dst RedObj) {
 	s, d := src.(*vecObj), dst.(*vecObj)
 	if len(d.sums) < len(s.sums) {

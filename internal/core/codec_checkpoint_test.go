@@ -88,30 +88,10 @@ func TestCheckpointEncodedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointEncodingViaSchedArgs(t *testing.T) {
-	s := MustNewScheduler[int, int64](bucketApp{width: 1}, SchedArgs{
-		NumThreads: 2, ChunkSize: 1, NumIters: 1, CheckpointEncoding: codec.Flate,
-	})
-	if err := s.Run(histInput(5000), nil); err != nil {
-		t.Fatal(err)
-	}
-	ck := filepath.Join(t.TempDir(), "state.ck")
-	if err := s.WriteCheckpoint(ck); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(blob, checkpointMagic2) {
-		t.Fatalf("configured encoding ignored: file starts with %q", blob[:8])
-	}
-}
-
 func TestCheckpointTinyImageStaysLegacyFormat(t *testing.T) {
 	// A sub-threshold image skips the codec even when one is configured, so
 	// small checkpoints keep the byte-stable legacy format.
-	s := MustNewScheduler[float64, float64](kmeans1D{k: 2}, SchedArgs{
+	s := MustNewScheduler[float64, float64](&kmeans1D{k: 2}, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 2, Extra: []float64{10, 60},
 	})
 	var in []float64

@@ -8,11 +8,11 @@
 // property that makes co-location with a memory-bound simulation viable.
 //
 // The package offers the paper's two in-situ modes. In time sharing mode the
-// caller passes the simulation's own output buffer to Run/Run2 — the runtime
+// caller passes the simulation's own output buffer to Run — the runtime
 // only ever reads through that pointer, so no extra copy of the time-step is
 // made. In space sharing mode the caller Feeds time-steps (which are copied
 // into a bounded circular buffer) while a concurrent analytics task drains
-// them with RunShared/RunShared2.
+// them with RunShared.
 package core
 
 import (
@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"github.com/scipioneer/smart/internal/chunk"
-	"github.com/scipioneer/smart/internal/codec"
 	"github.com/scipioneer/smart/internal/memmodel"
 	"github.com/scipioneer/smart/internal/mpi"
 	"github.com/scipioneer/smart/internal/obs"
@@ -65,42 +64,38 @@ type CombMap = map[int]RedObj
 
 // Analytics is the application-facing API (the paper's "functions
 // implemented by the user", Table 1). The same implementation runs unchanged
-// in time sharing, space sharing, and offline modes.
+// in time sharing, space sharing, and offline modes. Besides these methods an
+// application implements exactly one key generator: Keyer (gen_key, one key
+// per unit chunk) or MultiKeyer (gen_keys, several). The app's own methods
+// select the path; NewScheduler rejects an app with neither or both.
 type Analytics[In, Out any] interface {
 	// NewRedObj returns a fresh zero-valued reduction object. The runtime
 	// uses it both to lazily create objects for unseen keys and to decode
 	// serialized maps during global combination.
 	NewRedObj() RedObj
-	// GenKey generates the single key for a unit chunk (gen_key). com is a
-	// read-only view of the combination map as of the start of the
-	// iteration, shared by every reduction thread.
-	GenKey(c chunk.Chunk, data []In, com CombMap) int
-	// Accumulate folds the unit chunk into the reduction object (accumulate).
-	Accumulate(c chunk.Chunk, data []In, obj RedObj)
+	// Accumulate folds the unit chunk into the reduction object of key
+	// (accumulate). Most applications ignore key; position-weighted window
+	// convolutions (Savitzky–Golay, Gaussian kernel smoothing) derive the
+	// contribution's weight from its offset to the window center.
+	Accumulate(key int, c chunk.Chunk, data []In, obj RedObj)
 	// Merge folds src into dst, the combination object (merge).
 	Merge(src, dst RedObj)
 }
 
-// MultiKeyer is implemented by applications whose unit chunks map to
-// multiple keys (gen_keys; the flatmap-like path used by run2 for
-// window-based analytics). GenKeys appends to keys and returns the extended
-// slice so the runtime can reuse one buffer across chunks. com is the same
-// read-only view of the combination map as of the start of the iteration
-// that GenKey receives.
-type MultiKeyer[In any] interface {
-	GenKeys(c chunk.Chunk, data []In, com CombMap, keys []int) []int
+// Keyer is implemented by applications whose unit chunks map to exactly one
+// key (gen_key). State the key depends on — e.g. k-means centroids — is
+// cached by the app in ProcessExtraData/PostCombine rather than read from
+// the combination map.
+type Keyer[In any] interface {
+	GenKey(c chunk.Chunk, data []In) int
 }
 
-// PositionalAccumulator is an optional refinement of Accumulate for
-// applications whose accumulation depends on the key itself — e.g. the
-// position-weighted window convolutions (Savitzky–Golay, Gaussian kernel
-// smoothing), where the weight of a contribution is a function of the
-// element's offset from the window center (the key). When implemented, the
-// runtime calls AccumulateKeyed instead of Accumulate. This is a minimal
-// extension over the paper's API, which would otherwise require reduction
-// objects to rediscover their own key.
-type PositionalAccumulator[In any] interface {
-	AccumulateKeyed(key int, c chunk.Chunk, data []In, obj RedObj)
+// MultiKeyer is implemented by applications whose unit chunks map to
+// multiple keys (gen_keys; the flatmap-like path of window-based analytics).
+// GenKeys appends to keys and returns the extended slice so the runtime can
+// reuse one buffer across chunks.
+type MultiKeyer[In any] interface {
+	GenKeys(c chunk.Chunk, data []In, keys []int) []int
 }
 
 // ExtraDataProcessor is implemented by applications that initialize the
@@ -184,11 +179,6 @@ type SchedArgs struct {
 	// bytes). Nil means obs.Default(), so instrumentation is always on; the
 	// hot-path cost is a handful of atomic adds per phase, not per chunk.
 	Obs *obs.Observer
-	// CheckpointEncoding selects the codec WriteCheckpoint compresses
-	// checkpoint images with. The zero value (codec.None) keeps the legacy
-	// byte-stable SMARTCK1 format; ReadCheckpoint accepts every format
-	// regardless of this setting.
-	CheckpointEncoding codec.Encoding
 }
 
 func (a *SchedArgs) validate() error {
@@ -288,12 +278,13 @@ type Scheduler[In, Out any] struct {
 	// measures the unlabeled hot path.
 	pprofLabels bool
 
+	// the app's key generator: exactly one of keyer and multi is set
+	keyer Keyer[In]
+	multi MultiKeyer[In]
 	// cached optional capabilities of app
-	multi     MultiKeyer[In]
 	extraProc ExtraDataProcessor
 	postComb  PostCombiner
 	converter Converter[Out]
-	posAcc    PositionalAccumulator[In]
 	// hasTrigger caches whether the app's reduction objects implement
 	// Triggered, keeping the type assertion out of the per-chunk hot loop
 	// for the applications that never emit early.
@@ -306,8 +297,16 @@ func NewScheduler[In, Out any](app Analytics[In, Out], args SchedArgs) (*Schedul
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
+	var anyApp any = app
+	keyer, _ := anyApp.(Keyer[In])
+	multi, _ := anyApp.(MultiKeyer[In])
+	if (keyer == nil) == (multi == nil) {
+		return nil, errors.New("core: the application must implement exactly one of GenKey (Keyer) and GenKeys (MultiKeyer)")
+	}
 	s := &Scheduler[In, Out]{
 		app:        app,
+		keyer:      keyer,
+		multi:      multi,
 		args:       a,
 		newObj:     app.NewRedObj,
 		globalComb: true,
@@ -319,22 +318,9 @@ func NewScheduler[In, Out any](app Analytics[In, Out], args SchedArgs) (*Schedul
 		s.obs = obs.Default()
 	}
 	s.met.init(s.obs.Registry())
-	var anyApp any = app
-	if m, ok := anyApp.(MultiKeyer[In]); ok {
-		s.multi = m
-	}
-	if e, ok := anyApp.(ExtraDataProcessor); ok {
-		s.extraProc = e
-	}
-	if p, ok := anyApp.(PostCombiner); ok {
-		s.postComb = p
-	}
-	if c, ok := anyApp.(Converter[Out]); ok {
-		s.converter = c
-	}
-	if p, ok := anyApp.(PositionalAccumulator[In]); ok {
-		s.posAcc = p
-	}
+	s.extraProc, _ = anyApp.(ExtraDataProcessor)
+	s.postComb, _ = anyApp.(PostCombiner)
+	s.converter, _ = anyApp.(Converter[Out])
 	_, s.hasTrigger = app.NewRedObj().(Triggered)
 	return s, nil
 }

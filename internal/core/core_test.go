@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -48,12 +49,12 @@ func (c *countObj) Assign(src RedObj) { *c = *src.(*countObj) }
 type bucketApp struct{ width int }
 
 func (a bucketApp) NewRedObj() RedObj { return &countObj{} }
-func (a bucketApp) GenKey(c chunk.Chunk, data []int, _ CombMap) int {
+func (a bucketApp) GenKey(c chunk.Chunk, data []int) int {
 	return data[c.Start] / a.width
 }
-func (a bucketApp) Accumulate(c chunk.Chunk, _ []int, obj RedObj) { obj.(*countObj).n++ }
-func (a bucketApp) Merge(src, dst RedObj)                         { dst.(*countObj).n += src.(*countObj).n }
-func (a bucketApp) Convert(obj RedObj, out *int64)                { *out = obj.(*countObj).n }
+func (a bucketApp) Accumulate(_ int, c chunk.Chunk, _ []int, obj RedObj) { obj.(*countObj).n++ }
+func (a bucketApp) Merge(src, dst RedObj)                                { dst.(*countObj).n += src.(*countObj).n }
+func (a bucketApp) Convert(obj RedObj, out *int64)                       { *out = obj.(*countObj).n }
 
 // meanObj accumulates a running sum and count.
 type meanObj struct {
@@ -94,10 +95,7 @@ type movingSumApp struct {
 }
 
 func (a movingSumApp) NewRedObj() RedObj { return &winObj{} }
-func (a movingSumApp) GenKey(chunk.Chunk, []float64, CombMap) int {
-	panic("movingSumApp uses gen_keys")
-}
-func (a movingSumApp) GenKeys(c chunk.Chunk, _ []float64, _ CombMap, keys []int) []int {
+func (a movingSumApp) GenKeys(c chunk.Chunk, _ []float64, keys []int) []int {
 	center := a.base + c.Start
 	lo := max(center-a.half, 0)
 	hi := min(center+a.half, a.total-1)
@@ -106,7 +104,7 @@ func (a movingSumApp) GenKeys(c chunk.Chunk, _ []float64, _ CombMap, keys []int)
 	}
 	return keys
 }
-func (a movingSumApp) Accumulate(c chunk.Chunk, data []float64, obj RedObj) {
+func (a movingSumApp) Accumulate(_ int, c chunk.Chunk, data []float64, obj RedObj) {
 	w := obj.(*winObj)
 	w.sum += data[c.Start]
 	w.count++
@@ -124,8 +122,13 @@ func (a movingSumApp) Merge(src, dst RedObj) {
 func (a movingSumApp) Convert(obj RedObj, out *float64) { *out = obj.(*winObj).sum }
 
 // kmeans1D is a one-dimensional k-means used to exercise the iterative path:
-// extra data carries initial centroids, post_combine recomputes them.
-type kmeans1D struct{ k int }
+// extra data carries initial centroids, post_combine recomputes them. Like
+// analytics.KMeans it caches the centroids in both hooks, which is where
+// GenKey reads them.
+type kmeans1D struct {
+	k         int
+	centroids []float64
+}
 
 type clusterObj struct {
 	centroid float64
@@ -149,37 +152,36 @@ func (c *clusterObj) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-func (a kmeans1D) NewRedObj() RedObj { return &clusterObj{} }
-func (a kmeans1D) GenKey(c chunk.Chunk, data []float64, com CombMap) int {
+func (a *kmeans1D) NewRedObj() RedObj { return &clusterObj{} }
+func (a *kmeans1D) GenKey(c chunk.Chunk, data []float64) int {
 	x := data[c.Start]
 	best, bestD := 0, math.Inf(1)
-	for k := 0; k < a.k; k++ {
-		cl := com[k].(*clusterObj)
-		if d := math.Abs(x - cl.centroid); d < bestD {
+	for k, centroid := range a.centroids {
+		if d := math.Abs(x - centroid); d < bestD {
 			best, bestD = k, d
 		}
 	}
 	return best
 }
-func (a kmeans1D) Accumulate(c chunk.Chunk, data []float64, obj RedObj) {
+func (a *kmeans1D) Accumulate(_ int, c chunk.Chunk, data []float64, obj RedObj) {
 	cl := obj.(*clusterObj)
 	cl.sum += data[c.Start]
 	cl.count++
 }
-func (a kmeans1D) Merge(src, dst RedObj) {
+func (a *kmeans1D) Merge(src, dst RedObj) {
 	s, d := src.(*clusterObj), dst.(*clusterObj)
 	d.sum += s.sum
 	d.count += s.count
 }
-func (a kmeans1D) ProcessExtraData(extra any, com CombMap) {
-	if len(com) > 0 {
-		return // already initialized (iterating)
+func (a *kmeans1D) ProcessExtraData(extra any, com CombMap) {
+	if len(com) == 0 { // not yet initialized (first run)
+		for i, c := range extra.([]float64) {
+			com[i] = &clusterObj{centroid: c}
+		}
 	}
-	for i, c := range extra.([]float64) {
-		com[i] = &clusterObj{centroid: c}
-	}
+	a.cache(com)
 }
-func (a kmeans1D) PostCombine(com CombMap) {
+func (a *kmeans1D) PostCombine(com CombMap) {
 	for _, obj := range com {
 		cl := obj.(*clusterObj)
 		if cl.count > 0 {
@@ -187,8 +189,15 @@ func (a kmeans1D) PostCombine(com CombMap) {
 		}
 		cl.sum, cl.count = 0, 0
 	}
+	a.cache(com)
 }
-func (a kmeans1D) Convert(obj RedObj, out *float64) { *out = obj.(*clusterObj).centroid }
+func (a *kmeans1D) cache(com CombMap) {
+	a.centroids = a.centroids[:0]
+	for k := 0; k < a.k; k++ {
+		a.centroids = append(a.centroids, com[k].(*clusterObj).centroid)
+	}
+}
+func (a *kmeans1D) Convert(obj RedObj, out *float64) { *out = obj.(*clusterObj).centroid }
 
 func histInput(n int) []int {
 	in := make([]int, n)
@@ -312,7 +321,7 @@ func TestKMeansIterativeConverges(t *testing.T) {
 		in = append(in, float64(i%10))        // near 0..9
 		in = append(in, 100+float64(i%10)/10) // near 100
 	}
-	app := kmeans1D{k: 2}
+	app := &kmeans1D{k: 2}
 	s := MustNewScheduler[float64, float64](app, SchedArgs{
 		NumThreads: 2, ChunkSize: 1, NumIters: 10, Extra: []float64{10, 60},
 	})
@@ -338,7 +347,7 @@ func TestRun2MovingSumMatchesNaive(t *testing.T) {
 	app := movingSumApp{half: half, total: n}
 	s := MustNewScheduler[float64, float64](app, SchedArgs{NumThreads: 4, ChunkSize: 1, NumIters: 1})
 	out := make([]float64, n)
-	if err := s.Run2(in, out); err != nil {
+	if err := s.Run(in, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -352,10 +361,53 @@ func TestRun2MovingSumMatchesNaive(t *testing.T) {
 	}
 }
 
+// keylessApp implements Analytics but neither key generator.
+type keylessApp struct{}
+
+func (keylessApp) NewRedObj() RedObj                          { return &countObj{} }
+func (keylessApp) Accumulate(int, chunk.Chunk, []int, RedObj) {}
+func (keylessApp) Merge(src, dst RedObj)                      {}
+
+// keysOnlyApp is keylessApp with GenKeys: a valid gen_keys app.
+type keysOnlyApp struct{ keylessApp }
+
+func (keysOnlyApp) GenKeys(_ chunk.Chunk, _ []int, keys []int) []int { return append(keys, 0) }
+
+// twoKeyersApp implements both GenKey (through bucketApp) and GenKeys.
+type twoKeyersApp struct{ bucketApp }
+
+func (twoKeyersApp) GenKeys(_ chunk.Chunk, _ []int, keys []int) []int { return append(keys, 0) }
+
+// TestRun2RequiresMultiKeyer checks the key-generator contract: the app's
+// own methods choose gen_key or gen_keys, so NewScheduler accepts exactly
+// one of them and names both in its error otherwise.
 func TestRun2RequiresMultiKeyer(t *testing.T) {
-	s := MustNewScheduler[int, int64](bucketApp{width: 10}, SchedArgs{NumThreads: 1, ChunkSize: 1, NumIters: 1})
-	if err := s.Run2([]int{1}, nil); err == nil {
-		t.Fatal("Run2 without MultiKeyer succeeded")
+	args := SchedArgs{NumThreads: 1, ChunkSize: 1}
+	for _, tc := range []struct {
+		name string
+		app  Analytics[int, int64]
+		ok   bool
+	}{
+		{"GenKey", bucketApp{width: 10}, true},
+		{"GenKeys", keysOnlyApp{}, true},
+		{"neither", keylessApp{}, false},
+		{"both", twoKeyersApp{bucketApp{width: 10}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewScheduler[int, int64](tc.app, args)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("NewScheduler rejected a valid app: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("NewScheduler accepted the app")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "GenKey ") || !strings.Contains(msg, "GenKeys") {
+				t.Fatalf("error %q does not name GenKey and GenKeys", msg)
+			}
+		})
 	}
 }
 
@@ -369,7 +421,7 @@ func TestEarlyEmissionSameResultLowerFootprint(t *testing.T) {
 		app := movingSumApp{half: half, total: n, trigger: trigger}
 		s := MustNewScheduler[float64, float64](app, SchedArgs{NumThreads: 2, ChunkSize: 1, NumIters: 1})
 		out := make([]float64, n)
-		if err := s.Run2(in, out); err != nil {
+		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)
 		}
 		return out, s.Stats()
@@ -475,7 +527,7 @@ func TestDistributedKMeansMatchesSingleNode(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		in = append(in, float64(i%17), 50+float64(i%11))
 	}
-	single := MustNewScheduler[float64, float64](kmeans1D{k: 2},
+	single := MustNewScheduler[float64, float64](&kmeans1D{k: 2},
 		SchedArgs{NumThreads: 1, ChunkSize: 1, NumIters: 5, Extra: []float64{5, 40}})
 	wantOut := make([]float64, 2)
 	if err := single.Run(in, wantOut); err != nil {
@@ -493,7 +545,7 @@ func TestDistributedKMeansMatchesSingleNode(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer comms[r].Close()
-			s := MustNewScheduler[float64, float64](kmeans1D{k: 2},
+			s := MustNewScheduler[float64, float64](&kmeans1D{k: 2},
 				SchedArgs{NumThreads: 2, ChunkSize: 1, NumIters: 5, Extra: []float64{5, 40}, Comm: comms[r]})
 			out := make([]float64, 2)
 			if err := s.Run(in[r*per:(r+1)*per], out); err != nil {
@@ -540,7 +592,7 @@ func TestMemoryOOM(t *testing.T) {
 	s := MustNewScheduler[float64, float64](app, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 1, Mem: node, RedObjBytes: 48,
 	})
-	err := s.Run2(in, make([]float64, len(in)))
+	err := s.Run(in, make([]float64, len(in)))
 	var oom *memmodel.OOMError
 	if !errors.As(err, &oom) {
 		t.Fatalf("want OOM error, got %v", err)
@@ -551,7 +603,7 @@ func TestMemoryOOM(t *testing.T) {
 	s2 := MustNewScheduler[float64, float64](app2, SchedArgs{
 		NumThreads: 1, ChunkSize: 1, NumIters: 1, Mem: node2, RedObjBytes: 48,
 	})
-	if err := s2.Run2(in, make([]float64, len(in))); err != nil {
+	if err := s2.Run(in, make([]float64, len(in))); err != nil {
 		t.Fatalf("triggered run OOMed: %v", err)
 	}
 }
@@ -791,7 +843,7 @@ func TestRepeatedRunsCarryIterativeState(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		in = append(in, float64(i%10), 100+float64(i%10)/10)
 	}
-	app := kmeans1D{k: 2}
+	app := &kmeans1D{k: 2}
 	// One scheduler, two runs of 5 iterations each, must converge like a
 	// single run of 10 iterations.
 	s2 := MustNewScheduler[float64, float64](app, SchedArgs{
@@ -844,9 +896,9 @@ func TestChunkSizeVectors(t *testing.T) {
 // vecSumApp sums whole chunks under a single key.
 type vecSumApp struct{}
 
-func (vecSumApp) NewRedObj() RedObj                          { return &meanObj{} }
-func (vecSumApp) GenKey(chunk.Chunk, []float64, CombMap) int { return 0 }
-func (vecSumApp) Accumulate(c chunk.Chunk, data []float64, obj RedObj) {
+func (vecSumApp) NewRedObj() RedObj                 { return &meanObj{} }
+func (vecSumApp) GenKey(chunk.Chunk, []float64) int { return 0 }
+func (vecSumApp) Accumulate(_ int, c chunk.Chunk, data []float64, obj RedObj) {
 	m := obj.(*meanObj)
 	for i := c.Start; i < c.End(); i++ {
 		m.sum += data[i]

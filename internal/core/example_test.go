@@ -24,17 +24,17 @@ func ExampleScheduler_Run() {
 	// Output: [2 2 3]
 }
 
-// ExampleScheduler_Run2 shows a window application: gen_keys maps every
-// element to all the windows covering it, and the early-emission trigger
-// finalizes each window during reduction.
-func ExampleScheduler_Run2() {
+// ExampleScheduler_Run_window shows a window application: its gen_keys maps
+// every element to all the windows covering it, and the early-emission
+// trigger finalizes each window during reduction.
+func ExampleScheduler_Run_window() {
 	data := []float64{1, 2, 3, 4, 5}
 	app := analytics.NewMovingAverage(3, len(data), 0, true)
 	sched := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
 		NumThreads: 1, ChunkSize: 1,
 	})
 	out := make([]float64, len(data))
-	if err := sched.Run2(data, out); err != nil {
+	if err := sched.Run(data, out); err != nil {
 		panic(err)
 	}
 	fmt.Println(out)

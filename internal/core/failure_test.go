@@ -40,10 +40,10 @@ func (f *faultyObj) UnmarshalBinary(b []byte) error {
 // faultyApp counts elements into faulty objects.
 type faultyApp struct{ failMarshal bool }
 
-func (a faultyApp) NewRedObj() RedObj                           { return &faultyObj{failMarshal: a.failMarshal} }
-func (a faultyApp) GenKey(chunk.Chunk, []int, CombMap) int      { return 0 }
-func (a faultyApp) Accumulate(_ chunk.Chunk, _ []int, o RedObj) { o.(*faultyObj).n++ }
-func (a faultyApp) Merge(src, dst RedObj)                       { dst.(*faultyObj).n += src.(*faultyObj).n }
+func (a faultyApp) NewRedObj() RedObj                                  { return &faultyObj{failMarshal: a.failMarshal} }
+func (a faultyApp) GenKey(chunk.Chunk, []int) int                      { return 0 }
+func (a faultyApp) Accumulate(_ int, _ chunk.Chunk, _ []int, o RedObj) { o.(*faultyObj).n++ }
+func (a faultyApp) Merge(src, dst RedObj)                              { dst.(*faultyObj).n += src.(*faultyObj).n }
 
 func TestGlobalCombineMarshalErrorPropagates(t *testing.T) {
 	comms := mpi.NewWorld(2)

@@ -66,14 +66,14 @@ func (o *monoidObj) combine(p *monoidObj) {
 }
 
 func (a monoidApp) NewRedObj() RedObj { return &monoidObj{} }
-func (a monoidApp) GenKey(c chunk.Chunk, data []int64, _ CombMap) int {
+func (a monoidApp) GenKey(c chunk.Chunk, data []int64) int {
 	k := int(data[c.Start]) % a.keys
 	if k < 0 {
 		k += a.keys
 	}
 	return k
 }
-func (a monoidApp) Accumulate(c chunk.Chunk, data []int64, obj RedObj) {
+func (a monoidApp) Accumulate(_ int, c chunk.Chunk, data []int64, obj RedObj) {
 	obj.(*monoidObj).add(data[c.Start])
 }
 func (a monoidApp) Merge(src, dst RedObj) { dst.(*monoidObj).combine(src.(*monoidObj)) }

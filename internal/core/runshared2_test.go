@@ -8,7 +8,7 @@ import (
 
 func TestRunShared2WindowAnalytics(t *testing.T) {
 	// Space sharing with a gen_keys application: per-step moving sums
-	// through the circular buffer must match the time-sharing Run2.
+	// through the circular buffer must match the time-sharing Run.
 	const n, half, steps = 120, 2, 4
 	in := make([]float64, n)
 	for i := range in {
@@ -18,7 +18,7 @@ func TestRunShared2WindowAnalytics(t *testing.T) {
 
 	want := make([]float64, n)
 	ts := MustNewScheduler[float64, float64](app, SchedArgs{NumThreads: 2, ChunkSize: 1, NumIters: 1})
-	if err := ts.Run2(in, want); err != nil {
+	if err := ts.Run(in, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,7 +41,7 @@ func TestRunShared2WindowAnalytics(t *testing.T) {
 	for {
 		ss.ResetCombinationMap()
 		got := make([]float64, n)
-		err := ss.RunShared2(got)
+		err := ss.RunShared(got)
 		if err == ErrFeedClosed {
 			break
 		}

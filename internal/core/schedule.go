@@ -10,14 +10,11 @@ import (
 )
 
 // runEnv bundles the per-run state the scheduler threads through the
-// reduction phase: the input and output arrays, the key-generation mode, the
-// iteration's read-only view of the combination map for GenKey/GenKeys, and
-// the live-object and memory accounting shared by every worker.
+// reduction phase: the input and output arrays and the live-object and
+// memory accounting shared by every worker.
 type runEnv[In, Out any] struct {
 	in      []In
 	out     []Out
-	multi   bool
-	com     CombMap
 	live    *liveCounter
 	tracker *memTracker
 }

@@ -14,19 +14,13 @@ import (
 	"github.com/scipioneer/smart/internal/obs"
 )
 
-// Run executes the analytics over one partition in time sharing mode using
-// gen_key (one key per unit chunk). in is read through directly — typically
-// the simulation's own output buffer — and is never copied or mutated. The
-// final result is converted into out (which may be nil to skip conversion).
-// This is Algorithm 1 of the paper.
+// Run executes the analytics over one partition in time sharing mode. in is
+// read through directly — typically the simulation's own output buffer — and
+// is never copied or mutated. The final result is converted into out (which
+// may be nil to skip conversion). This is Algorithm 1 of the paper; the app's
+// key generator (GenKey or GenKeys) selects the one- or multi-key path.
 func (s *Scheduler[In, Out]) Run(in []In, out []Out) error {
-	return s.run(context.Background(), in, out, false)
-}
-
-// Run2 is Run using gen_keys (multiple keys per unit chunk), the path used
-// by window-based analytics.
-func (s *Scheduler[In, Out]) Run2(in []In, out []Out) error {
-	return s.run(context.Background(), in, out, true)
+	return s.run(context.Background(), in, out)
 }
 
 // RunContext is Run with deadline/cancellation support. Cancellation is
@@ -38,30 +32,7 @@ func (s *Scheduler[In, Out]) Run2(in []In, out []Out) error {
 // phase — callers that checkpoint after cancellation persist a consistent
 // (if not fully converged) state.
 func (s *Scheduler[In, Out]) RunContext(ctx context.Context, in []In, out []Out) error {
-	return s.run(ctx, in, out, false)
-}
-
-// Run2Context is RunContext using gen_keys.
-func (s *Scheduler[In, Out]) Run2Context(ctx context.Context, in []In, out []Out) error {
-	return s.run(ctx, in, out, true)
-}
-
-// RunWindowContext clears the scheduler's accumulated state in place
-// (ResetCombinationMap) and runs the analytics over exactly one window's
-// elements. It is the narrow re-entrant entry point the streaming layer
-// compiles each fired window onto: the result is byte-identical to a fresh
-// scheduler run over the same elements, but the store's shards and arena
-// slabs and the per-thread reduction stores stay warm from window to window.
-func (s *Scheduler[In, Out]) RunWindowContext(ctx context.Context, in []In, out []Out) error {
-	s.ResetCombinationMap()
-	return s.run(ctx, in, out, false)
-}
-
-// RunWindow2Context is RunWindowContext using gen_keys, for window-family
-// (MultiKeyer) analytics.
-func (s *Scheduler[In, Out]) RunWindow2Context(ctx context.Context, in []In, out []Out) error {
-	s.ResetCombinationMap()
-	return s.run(ctx, in, out, true)
+	return s.run(ctx, in, out)
 }
 
 // errCancelled is the internal sentinel the reduction workers return when
@@ -82,10 +53,7 @@ func cancelErr(ctx context.Context) error {
 	return fmt.Errorf("core: run cancelled: %w", context.Cause(ctx))
 }
 
-func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi bool) error {
-	if multi && s.multi == nil {
-		return errors.New("core: Run2 requires the application to implement MultiKeyer")
-	}
+func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out) error {
 	// The chunk loops poll s.cancelled (one uncontended atomic load per
 	// chunk) instead of ctx.Err(), so cancellation support costs the hot
 	// path nothing measurable; an AfterFunc watcher raises the flag. The
@@ -116,7 +84,7 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 	}
 
 	live := &liveCounter{}
-	env := &runEnv[In, Out]{in: in, out: out, multi: multi, live: live, tracker: tracker}
+	env := &runEnv[In, Out]{in: in, out: out, live: live, tracker: tracker}
 
 	for iter := 0; iter < s.args.NumIters; iter++ {
 		if s.cancelled.Load() || ctx.Err() != nil {
@@ -124,9 +92,7 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out, multi 
 		}
 		// Distribute the (local or, after the first iteration's global
 		// combination, global) combination map into the per-thread reduction
-		// stores (shard-parallel deep clones; see distributeInto), and
-		// snapshot the view key generation reads this iteration.
-		env.com = s.store.view()
+		// stores (shard-parallel deep clones; see distributeInto).
 		s.distribute(env)
 		if err := tracker.sync(); err != nil {
 			return err
@@ -339,7 +305,7 @@ func (s *Scheduler[In, Out]) flushStoreStats(segs []*arenaStore) {
 // create the reduction object, accumulate, and — when the object's trigger
 // fires — emit it early (Algorithm 2).
 func (s *Scheduler[In, Out]) processSplit(sp chunk.Split, redMap *arenaStore, env *runEnv[In, Out]) error {
-	in, out, com, multi, live, tracker := env.in, env.out, env.com, env.multi, env.live, env.tracker
+	in, out, live, tracker := env.in, env.out, env.live, env.tracker
 	var keys []int
 	var chunks, touched int64
 	chunkSize := s.args.ChunkSize
@@ -363,14 +329,14 @@ func (s *Scheduler[In, Out]) processSplit(sp chunk.Split, redMap *arenaStore, en
 		}
 		c := chunk.Chunk{Start: start, Length: length}
 		chunks++
-		if multi {
-			keys = s.multi.GenKeys(c, in, com, keys[:0])
+		if s.multi != nil {
+			keys = s.multi.GenKeys(c, in, keys[:0])
 			touched += int64(len(keys))
 			for _, k := range keys {
 				s.consumeChunk(k, c, in, out, redMap, live, tracker, &cache)
 			}
 		} else {
-			k := s.app.GenKey(c, in, com)
+			k := s.keyer.GenKey(c, in)
 			touched++
 			s.consumeChunk(k, c, in, out, redMap, live, tracker, &cache)
 		}
@@ -410,20 +376,12 @@ func (s *Scheduler[In, Out]) consumeChunk(k int, c chunk.Chunk, in []In, out []O
 		cache.key, cache.obj = k, obj
 	}
 	if tracker == nil {
-		if s.posAcc != nil {
-			s.posAcc.AccumulateKeyed(k, c, in, obj)
-		} else {
-			s.app.Accumulate(c, in, obj)
-		}
+		s.app.Accumulate(k, c, in, obj)
 	} else {
 		// Variable-size reduction objects (e.g. the holistic moving-median
 		// object) grow as they accumulate; charge the growth.
 		before := s.sizeOfRedObj(obj)
-		if s.posAcc != nil {
-			s.posAcc.AccumulateKeyed(k, c, in, obj)
-		} else {
-			s.app.Accumulate(c, in, obj)
-		}
+		s.app.Accumulate(k, c, in, obj)
 		tracker.add(int64(s.sizeOfRedObj(obj) - before))
 	}
 	if s.hasTrigger && obj.(Triggered).Trigger() {

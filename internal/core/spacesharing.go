@@ -52,17 +52,8 @@ func (s *Scheduler[In, Out]) CloseFeed() {
 var ErrFeedClosed = errors.New("core: feed closed")
 
 // RunShared consumes the oldest buffered time-step and runs the analytics
-// over it using gen_key — the space sharing counterpart of Run.
+// over it — the space sharing counterpart of Run.
 func (s *Scheduler[In, Out]) RunShared(out []Out) error {
-	return s.runShared(out, false)
-}
-
-// RunShared2 is RunShared using gen_keys.
-func (s *Scheduler[In, Out]) RunShared2(out []Out) error {
-	return s.runShared(out, true)
-}
-
-func (s *Scheduler[In, Out]) runShared(out []Out, multi bool) error {
 	start := time.Now()
 	item, err := s.buf.Get()
 	if err != nil {
@@ -73,8 +64,14 @@ func (s *Scheduler[In, Out]) runShared(out []Out, multi bool) error {
 	// coordinating goroutine — so it reaches SubscribeSpans too.
 	s.phaseEvent("read", start)
 	defer item.mem.Free()
-	return s.run(context.Background(), item.data, out, multi)
+	return s.run(context.Background(), item.data, out)
 }
+
+// RunShared2 is RunShared, kept for callers written against the former
+// gen_keys entry point.
+//
+// Deprecated: use RunShared; the app's GenKeys selects the multi-key path.
+func (s *Scheduler[In, Out]) RunShared2(out []Out) error { return s.RunShared(out) }
 
 // DrainFeed closes the feed and discards every time-step still buffered,
 // releasing each cell's virtual memory allocation, and reports how many

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestRunWindowByteIdentical pins the streaming contract of the re-entrant
-// window entry point: one scheduler recycled across a sequence of windows
-// must produce, for every window, exactly the bytes a fresh scheduler
+// TestRunWindowByteIdentical pins the streaming contract of a recycled
+// scheduler: one scheduler reset (ResetCombinationMap) and re-run across a
+// sequence of windows must produce, for every window, exactly the bytes a fresh scheduler
 // produces over that window's elements — against the serial pipeline (one
 // thread, one shard) as the fresh reference, with window lengths that shrink
 // and grow so the store's retained arrays are exercised at both transitions.
@@ -24,7 +24,8 @@ func TestRunWindowByteIdentical(t *testing.T) {
 		for wi, w := range windows {
 			in := full[w[0]:w[1]]
 			outR := make([]int64, 10)
-			if err := recycled.RunWindowContext(context.Background(), in, outR); err != nil {
+			recycled.ResetCombinationMap()
+			if err := recycled.RunContext(context.Background(), in, outR); err != nil {
 				t.Fatal(err)
 			}
 			encR, err := recycled.EncodeCombinationMap()
@@ -68,7 +69,8 @@ func TestRunWindow2ByteIdentical(t *testing.T) {
 		for wi := 0; wi < len(full)/winLen; wi++ {
 			in := full[wi*winLen : (wi+1)*winLen]
 			outR := make([]float64, winLen)
-			if err := recycled.RunWindow2Context(context.Background(), in, outR); err != nil {
+			recycled.ResetCombinationMap()
+			if err := recycled.RunContext(context.Background(), in, outR); err != nil {
 				t.Fatal(err)
 			}
 			encR, err := recycled.EncodeCombinationMap()
@@ -77,7 +79,7 @@ func TestRunWindow2ByteIdentical(t *testing.T) {
 			}
 			fresh := MustNewScheduler[float64, float64](app, serial)
 			outF := make([]float64, winLen)
-			if err := fresh.Run2(in, outF); err != nil {
+			if err := fresh.Run(in, outF); err != nil {
 				t.Fatal(err)
 			}
 			encF, err := fresh.EncodeCombinationMap()

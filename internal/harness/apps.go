@@ -123,7 +123,7 @@ func nineApps(n int, lo, hi float64) []appRunner {
 		{"moving average", func(data []float64, threads int) (appMeasure, error) {
 			app := analytics.NewMovingAverage(win, len(data), 0, true)
 			s := core.MustNewScheduler[float64, float64](app, seqArgs(threads, 1, 1))
-			if err := s.Run2(data, make([]float64, len(data))); err != nil {
+			if err := s.Run(data, make([]float64, len(data))); err != nil {
 				return appMeasure{}, err
 			}
 			return appMeasure{s.Stats(), s.EncodeCombinationMap}, nil
@@ -131,7 +131,7 @@ func nineApps(n int, lo, hi float64) []appRunner {
 		{"moving median", func(data []float64, threads int) (appMeasure, error) {
 			app := analytics.NewMovingMedian(win, len(data), 0, true)
 			s := core.MustNewScheduler[float64, float64](app, seqArgs(threads, 1, 1))
-			if err := s.Run2(data, make([]float64, len(data))); err != nil {
+			if err := s.Run(data, make([]float64, len(data))); err != nil {
 				return appMeasure{}, err
 			}
 			return appMeasure{s.Stats(), s.EncodeCombinationMap}, nil
@@ -139,7 +139,7 @@ func nineApps(n int, lo, hi float64) []appRunner {
 		{"kernel density estimation", func(data []float64, threads int) (appMeasure, error) {
 			app := analytics.NewKernelDensity(win, len(data), 0, true, 0)
 			s := core.MustNewScheduler[float64, float64](app, seqArgs(threads, 1, 1))
-			if err := s.Run2(data, make([]float64, len(data))); err != nil {
+			if err := s.Run(data, make([]float64, len(data))); err != nil {
 				return appMeasure{}, err
 			}
 			return appMeasure{s.Stats(), s.EncodeCombinationMap}, nil
@@ -147,7 +147,7 @@ func nineApps(n int, lo, hi float64) []appRunner {
 		{"Savitzky-Golay filter", func(data []float64, threads int) (appMeasure, error) {
 			app := analytics.NewSavitzkyGolay(win, 2, len(data), 0, true)
 			s := core.MustNewScheduler[float64, float64](app, seqArgs(threads, 1, 1))
-			if err := s.Run2(data, make([]float64, len(data))); err != nil {
+			if err := s.Run(data, make([]float64, len(data))); err != nil {
 				return appMeasure{}, err
 			}
 			return appMeasure{s.Stats(), s.EncodeCombinationMap}, nil

@@ -102,7 +102,7 @@ func Fig10(scale Scale) ([]*Result, error) {
 				s := core.MustNewScheduler[float64, float64](app, core.SchedArgs{
 					NumThreads: 1, ChunkSize: 1, NumIters: 1, Sequential: true,
 				})
-				if err := s.Run2(data, make([]float64, len(data))); err != nil {
+				if err := s.Run(data, make([]float64, len(data))); err != nil {
 					return appMeasure{}, err
 				}
 				return appMeasure{s.Stats(), s.EncodeCombinationMap}, nil
@@ -205,7 +205,7 @@ func fig10Backpressure(scale Scale, res *Result) error {
 	out := make([]float64, elems)
 	consume := func() error {
 		s.ResetCombinationMap()
-		return s.RunShared2(out)
+		return s.RunShared(out)
 	}
 	if _, err := insitu.SpaceSharing(em, s.Feed, consume, s.CloseFeed,
 		insitu.SpaceSharingConfig{Steps: steps}); err != nil {

@@ -92,7 +92,7 @@ func Fig11a(scale Scale) (*Result, error) {
 						NumThreads: 1, ChunkSize: 1, NumIters: 1, Mem: mem,
 					})
 					out := make([]float64, len(data))
-					return func() error { return s.Run2(data, out) }, nil
+					return func() error { return s.Run(data, out) }, nil
 				})
 			if err != nil {
 				return nil, err
@@ -156,7 +156,7 @@ func Fig11b(scale Scale) (*Result, error) {
 						NumThreads: 1, ChunkSize: 1, NumIters: 1, Mem: mem,
 					})
 					out := make([]float64, len(data))
-					return func() error { return s.Run2(data, out) }, nil
+					return func() error { return s.Run(data, out) }, nil
 				})
 			if err != nil {
 				return nil, err

@@ -14,7 +14,7 @@ import (
 // throughput of a continuous tumbling histogram query as the window widens,
 // comparing the warm path — one SchedCombiner whose combination map is
 // recycled in place between fires — against a fresh scheduler built for
-// every window. The gap is the setup cost RunWindowContext amortizes away;
+// every window. The gap is the setup cost the in-place reset amortizes away;
 // it narrows as windows widen and per-element work starts to dominate.
 func FigStream(scale Scale) (*Result, error) {
 	res := &Result{

@@ -336,7 +336,7 @@ func drainRequested(ctx context.Context) error {
 }
 
 func wireRunner[Out any](sched *core.Scheduler[float64, Out], em *sim.Emulator,
-	spec JobSpec, mem *memmodel.Node, multiKey, resetPerStep bool, outLen int,
+	spec JobSpec, mem *memmodel.Node, resetPerStep bool, outLen int,
 	result func(out []Out) any) *jobProgram {
 
 	// The phase pprof label on the reduction workers, composing with the
@@ -388,13 +388,7 @@ func wireRunner[Out any](sched *core.Scheduler[float64, Out], em *sim.Emulator,
 			if resetPerStep {
 				sched.ResetCombinationMap()
 			}
-			var err error
-			if multiKey {
-				err = sched.Run2Context(stepCtx, data, out)
-			} else {
-				err = sched.RunContext(stepCtx, data, out)
-			}
-			if err != nil {
+			if err := sched.RunContext(stepCtx, data, out); err != nil {
 				return err
 			}
 			// The counter advances before the "step" record goes out: a
@@ -454,7 +448,7 @@ func buildHistogram(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgr
 	if err != nil {
 		return nil, err
 	}
-	prog := wireRunner(sched, em, spec, mem, false, false, buckets, func(out []int64) any {
+	prog := wireRunner(sched, em, spec, mem, false, buckets, func(out []int64) any {
 		return map[string]any{"buckets": out, "lo": lo, "hi": hi}
 	})
 	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
@@ -481,7 +475,7 @@ func buildGridAgg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram
 	if err != nil {
 		return nil, err
 	}
-	prog := wireRunner(sched, em, spec, mem, false, false, cells, func(out []float64) any {
+	prog := wireRunner(sched, em, spec, mem, false, cells, func(out []float64) any {
 		return map[string]any{"cells": out, "grid_size": gs}
 	})
 	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
@@ -508,7 +502,7 @@ func buildMoments(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram
 	if err != nil {
 		return nil, err
 	}
-	prog := wireRunner(sched, em, spec, mem, false, false, cells, func(out []float64) any {
+	prog := wireRunner(sched, em, spec, mem, false, cells, func(out []float64) any {
 		return map[string]any{"variance": out, "grid_size": gs}
 	})
 	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
@@ -540,7 +534,7 @@ func buildMutualInfo(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProg
 	if err != nil {
 		return nil, err
 	}
-	prog := wireRunner(sched, em, spec, mem, false, false, 0, func([]int64) any {
+	prog := wireRunner(sched, em, spec, mem, false, 0, func([]int64) any {
 		return map[string]any{"mutual_information": app.MI(sched.CombinationMap())}
 	})
 	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
@@ -583,7 +577,7 @@ func buildLogReg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram,
 	if err != nil {
 		return nil, err
 	}
-	prog := wireRunner(sched, em, spec, mem, false, false, 0, func([]float64) any {
+	prog := wireRunner(sched, em, spec, mem, false, 0, func([]float64) any {
 		return map[string]any{"weights": app.Weights(sched.CombinationMap())}
 	})
 	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
@@ -626,7 +620,7 @@ func buildKMeans(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram,
 	if err != nil {
 		return nil, err
 	}
-	prog := wireRunner(sched, em, spec, mem, false, false, 0, func([][]float64) any {
+	prog := wireRunner(sched, em, spec, mem, false, 0, func([][]float64) any {
 		return map[string]any{"centroids": app.Centroids(sched.CombinationMap())}
 	})
 	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
@@ -647,9 +641,10 @@ func initCentroids(k, dims int, lo, hi float64) []float64 {
 }
 
 // buildWindow constructs one of the four window-based applications. They
-// run through the multi-key path (Run2), emit early (every window position
-// finalizes and streams as soon as its expected contributions arrive), and
-// reset per time-step — so they have no cross-step state to checkpoint.
+// run through the multi-key path (their GenKeys), emit early (every window
+// position finalizes and streams as soon as its expected contributions
+// arrive), and reset per time-step — so they have no cross-step state to
+// checkpoint.
 func buildWindow(kind string) builder {
 	return func(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
 		p := spec.Params
@@ -690,7 +685,7 @@ func buildWindow(kind string) builder {
 		if err != nil {
 			return nil, err
 		}
-		return wireRunner(sched, em, spec, mem, true, true, spec.Elems, func(out []float64) any {
+		return wireRunner(sched, em, spec, mem, true, spec.Elems, func(out []float64) any {
 			head := out
 			if len(head) > 32 {
 				head = head[:32]

@@ -145,7 +145,6 @@ func standingCombiner(spec JobSpec, mem *memmodel.Node) (stream.Combiner, error)
 			},
 			Args:    args,
 			PerSize: true,
-			Multi:   true,
 			OutLen:  func(n int) int { return n },
 			Result: func(_ *core.Scheduler[float64, float64], out []float64) (any, error) {
 				head := out

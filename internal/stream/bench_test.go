@@ -15,7 +15,7 @@ import (
 // Reseed keeps one warm SchedCombiner across windows (the production path:
 // the combination map is recycled in place); Rebuild constructs a fresh
 // scheduler per window — the allocation delta between the two is the price
-// RunWindowContext exists to avoid. Ingest swaps the scheduler for a
+// the in-place reset exists to avoid. Ingest swaps the scheduler for a
 // trivial counting combiner and measures the operator layer's own floor.
 const (
 	benchStepsPerWin  = 4

@@ -52,8 +52,6 @@ type SchedOptions[Out any] struct {
 	// one. Fixed-size tumbling windows still recycle every fire; only a
 	// size change pays the rebuild.
 	PerSize bool
-	// Multi selects the gen_keys (Run2) path for MultiKeyer apps.
-	Multi bool
 	// OutLen gives the converted-output length for a window of n elements;
 	// nil or a zero return skips conversion (Result then typically reads
 	// the combination map).
@@ -64,11 +62,11 @@ type SchedOptions[Out any] struct {
 }
 
 // SchedCombiner compiles windows onto a core.Scheduler. One scheduler
-// instance is kept warm across fires and re-entered through
-// RunWindowContext, so the sharded store's shards and arena slabs and the
-// per-thread reduction stores survive from window to window; the output of
-// every fire is byte-identical to a fresh scheduler run over the same
-// elements.
+// instance is kept warm across fires: each fire clears it in place
+// (ResetCombinationMap) and re-enters RunContext, so the sharded store's
+// shards and arena slabs and the per-thread reduction stores survive from
+// window to window; the output of every fire is byte-identical to a fresh
+// scheduler run over the same elements.
 type SchedCombiner[Out any] struct {
 	opts    SchedOptions[Out]
 	sched   *core.Scheduler[float64, Out]
@@ -94,12 +92,10 @@ func NewSchedCombiner[Out any](opts SchedOptions[Out]) (*SchedCombiner[Out], err
 // nullApp is a do-nothing analytics used to validate SchedArgs eagerly.
 type nullApp[Out any] struct{}
 
-func (nullApp[Out]) NewRedObj() core.RedObj { return &nullObj{} }
-func (nullApp[Out]) GenKey(c chunk.Chunk, data []float64, com core.CombMap) int {
-	return 0
-}
-func (nullApp[Out]) Accumulate(c chunk.Chunk, data []float64, obj core.RedObj) {}
-func (nullApp[Out]) Merge(src, dst core.RedObj)                                {}
+func (nullApp[Out]) NewRedObj() core.RedObj                              { return &nullObj{} }
+func (nullApp[Out]) GenKey(chunk.Chunk, []float64) int                   { return 0 }
+func (nullApp[Out]) Accumulate(int, chunk.Chunk, []float64, core.RedObj) {}
+func (nullApp[Out]) Merge(src, dst core.RedObj)                          {}
 
 type nullObj struct{}
 
@@ -138,13 +134,8 @@ func (c *SchedCombiner[Out]) Combine(ctx context.Context, w Window, elems []floa
 		c.out = c.out[:outLen]
 		clear(c.out)
 	}
-	var err error
-	if c.opts.Multi {
-		err = c.sched.RunWindow2Context(ctx, elems, c.out)
-	} else {
-		err = c.sched.RunWindowContext(ctx, elems, c.out)
-	}
-	if err != nil {
+	c.sched.ResetCombinationMap()
+	if err := c.sched.RunContext(ctx, elems, c.out); err != nil {
 		return nil, err
 	}
 	if c.opts.Result != nil {

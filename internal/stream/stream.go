@@ -14,7 +14,7 @@
 //
 // The compiler is deliberately thin: every fired window becomes one batch
 // reduction over exactly that window's elements, lowered onto an existing
-// core.Scheduler through the re-entrant RunWindowContext entry point. The
+// core.Scheduler, reset in place and re-entered through RunContext. The
 // sharded store, static schedule, and codec'd global combination are
 // reused unchanged, so a window's output is byte-identical to a one-shot
 // batch run over the same elements — the property the oracle tests pin.

@@ -155,12 +155,7 @@ func runOracle[Out any](t *testing.T, opts SchedOptions[Out], spec WindowSpec, e
 			outLen = opts.OutLen(len(elems))
 		}
 		out := make([]Out, outLen)
-		if opts.Multi {
-			err = fresh.Run2(elems, out)
-		} else {
-			err = fresh.Run(elems, out)
-		}
-		if err != nil {
+		if err := fresh.Run(elems, out); err != nil {
 			t.Fatal(err)
 		}
 		enc, err := fresh.EncodeCombinationMap()
@@ -205,7 +200,6 @@ func movingAvgOpts(args core.SchedArgs) SchedOptions[float64] {
 		},
 		Args:    args,
 		PerSize: true,
-		Multi:   true,
 		OutLen:  func(n int) int { return n },
 	}
 }

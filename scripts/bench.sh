@@ -12,7 +12,8 @@
 # tumbling window per op: warm reseed vs per-window scheduler rebuild vs
 # the bare operator layer) and emit BENCH_stream.json with ns/op,
 # allocs/op, windows/sec, and the mean per-window firing latency — the
-# amortization record for RunWindowContext.
+# amortization record for the in-place reset (ResetCombinationMap +
+# RunContext) of a warm scheduler.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=2s scripts/bench.sh   # longer, more stable timings
