@@ -177,32 +177,13 @@ func makeApp(o options, stepElems int) (*pipeline, error) {
 	case "histogram":
 		app := analytics.NewHistogram(-10, 130, o.buckets)
 		s := newScheduler[float64, int64](app, args, o.trace)
+		// Runs without a reset accumulate: after every step acc holds the
+		// histogram of all steps so far.
 		acc := make([]int64, o.buckets)
-		step := func(data []float64) error {
-			s.ResetCombinationMap()
-			out := make([]int64, o.buckets)
-			if err := s.Run(data, out); err != nil {
-				return err
-			}
-			for i := range acc {
-				acc[i] += out[i]
-			}
-			return nil
-		}
 		return &pipeline{
-			analyze: step,
-			feed:    s.Feed,
-			consume: func() error {
-				s.ResetCombinationMap()
-				out := make([]int64, o.buckets)
-				if err := s.RunShared(out); err != nil {
-					return err
-				}
-				for i := range acc {
-					acc[i] += out[i]
-				}
-				return nil
-			},
+			analyze:   func(data []float64) error { return s.Run(data, acc) },
+			feed:      s.Feed,
+			consume:   func() error { return s.RunShared(acc) },
 			closeFeed: s.CloseFeed,
 			report: func() {
 				fmt.Println("accumulated histogram:")
@@ -257,33 +238,14 @@ func makeApp(o options, stepElems int) (*pipeline, error) {
 	case "moments":
 		app := analytics.NewMoments(0, 0)
 		s := newScheduler[float64, float64](app, args, o.trace)
-		// Accumulator pattern: a fresh map per step, merged into one
-		// cross-step accumulator (non-iterative apps must not carry
-		// accumulated state through the per-run distribution).
-		acc := &analytics.MomentsObj{}
-		fold := func() error {
-			acc.Combine(s.CombinationMap()[0].(*analytics.MomentsObj))
-			return nil
-		}
-		step := func(data []float64) error {
-			s.ResetCombinationMap()
-			if err := s.Run(data, nil); err != nil {
-				return err
-			}
-			return fold()
-		}
+		// Runs without a reset accumulate every step into key 0.
 		return &pipeline{
-			analyze: step,
-			feed:    s.Feed,
-			consume: func() error {
-				s.ResetCombinationMap()
-				if err := s.RunShared(nil); err != nil {
-					return err
-				}
-				return fold()
-			},
+			analyze:   func(data []float64) error { return s.Run(data, nil) },
+			feed:      s.Feed,
+			consume:   func() error { return s.RunShared(nil) },
 			closeFeed: s.CloseFeed,
 			report: func() {
+				acc := s.CombinationMap()[0].(*analytics.MomentsObj)
 				fmt.Printf("field statistics over all steps: n=%d mean=%.4f stddev=%.4f skew=%.4f\n",
 					acc.N, acc.Mean, math.Sqrt(acc.Variance()), acc.Skewness())
 			},

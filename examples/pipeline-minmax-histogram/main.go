@@ -28,7 +28,6 @@ type minMaxApp struct{}
 
 type rangeObj struct{ Min, Max float64 }
 
-func (r *rangeObj) Clone() core.RedObj { cp := *r; return &cp }
 func (r *rangeObj) MarshalBinary() ([]byte, error) {
 	return mpi.EncodeFloat64s([]float64{r.Min, r.Max}), nil
 }

@@ -1,7 +1,9 @@
 package analytics
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -711,6 +713,12 @@ func TestWindowValidation(t *testing.T) {
 
 // --- reduction object codecs ---
 
+// zeroOf returns a fresh zero-valued object of obj's concrete type, the
+// decode target of the codec tests.
+func zeroOf(obj core.RedObj) core.RedObj {
+	return reflect.New(reflect.TypeOf(obj).Elem()).Interface().(core.RedObj)
+}
+
 func TestRedObjCodecs(t *testing.T) {
 	objs := []core.RedObj{
 		&CountObj{Count: 42},
@@ -725,45 +733,54 @@ func TestRedObjCodecs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T marshal: %v", obj, err)
 		}
-		clone := obj.Clone()
-		if err := clone.UnmarshalBinary(buf); err != nil {
+		dec := zeroOf(obj)
+		if err := dec.UnmarshalBinary(buf); err != nil {
 			t.Fatalf("%T unmarshal: %v", obj, err)
 		}
-		buf2, err := clone.MarshalBinary()
+		buf2, err := dec.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%T re-marshal: %v", obj, err)
 		}
 		if string(buf) != string(buf2) {
 			t.Fatalf("%T roundtrip mismatch", obj)
 		}
-		if err := clone.UnmarshalBinary(append(buf, 0)); err == nil {
+		if err := dec.UnmarshalBinary(append(buf, 0)); err == nil {
 			t.Errorf("%T accepted trailing bytes", obj)
 		}
-		if err := clone.UnmarshalBinary(buf[:len(buf)-1]); err == nil {
+		if err := dec.UnmarshalBinary(buf[:len(buf)-1]); err == nil {
 			t.Errorf("%T accepted truncation", obj)
 		}
 	}
 }
 
+// TestCloneIndependence pins that UnmarshalBinary copies the slice-backed
+// objects out of its input: the store's decoders hand out sub-slices of one
+// frame buffer that are valid only during the call.
 func TestCloneIndependence(t *testing.T) {
-	o := &ClusterObj{Centroid: []float64{1}, Sum: []float64{2}, Size: 3}
-	c := o.Clone().(*ClusterObj)
-	c.Centroid[0] = 99
-	c.Sum[0] = 99
-	if o.Centroid[0] != 1 || o.Sum[0] != 2 {
-		t.Fatal("ClusterObj.Clone shares slices")
-	}
-	v := &ValuesObj{Values: []float64{1, 2}}
-	cv := v.Clone().(*ValuesObj)
-	cv.Values[0] = 99
-	if v.Values[0] != 1 {
-		t.Fatal("ValuesObj.Clone shares slices")
-	}
-	g := &GradObj{Weights: []float64{1}, Grad: []float64{2}}
-	cg := g.Clone().(*GradObj)
-	cg.Weights[0], cg.Grad[0] = 99, 99
-	if g.Weights[0] != 1 || g.Grad[0] != 2 {
-		t.Fatal("GradObj.Clone shares slices")
+	for _, obj := range []core.RedObj{
+		&ClusterObj{Centroid: []float64{1}, Sum: []float64{2}, Size: 3},
+		&ValuesObj{Values: []float64{1, 2}, Expected: 4},
+		&GradObj{Weights: []float64{1}, Grad: []float64{2}, Count: 5},
+	} {
+		buf, err := obj.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := zeroOf(obj)
+		if err := dec.UnmarshalBinary(buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		got, err := dec.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := obj.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%T shares its UnmarshalBinary input", obj)
+		}
 	}
 }
 

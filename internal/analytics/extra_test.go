@@ -383,15 +383,15 @@ func TestNewObjCodecs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T marshal: %v", obj, err)
 		}
-		clone := obj.Clone()
-		if err := clone.UnmarshalBinary(buf); err != nil {
+		dec := zeroOf(obj)
+		if err := dec.UnmarshalBinary(buf); err != nil {
 			t.Fatalf("%T unmarshal: %v", obj, err)
 		}
-		buf2, _ := clone.MarshalBinary()
+		buf2, _ := dec.MarshalBinary()
 		if string(buf) != string(buf2) {
 			t.Fatalf("%T roundtrip mismatch", obj)
 		}
-		if err := clone.UnmarshalBinary(append(buf, 1)); err == nil {
+		if err := dec.UnmarshalBinary(append(buf, 1)); err == nil {
 			t.Errorf("%T accepted trailing bytes", obj)
 		}
 	}

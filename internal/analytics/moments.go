@@ -35,21 +35,16 @@ type MomentsObj struct {
 	M2, M3, M4 float64
 }
 
-// Clone implements core.RedObj.
-func (m *MomentsObj) Clone() core.RedObj { cp := *m; return &cp }
-
 // NewSlab implements core.FixedSizeObj.
 func (m *MomentsObj) NewSlab(n int) []core.RedObj {
 	backing := make([]MomentsObj, n)
 	objs := make([]core.RedObj, n)
 	for i := range backing {
+		backing[i] = *m
 		objs[i] = &backing[i]
 	}
 	return objs
 }
-
-// Assign implements core.FixedSizeObj.
-func (m *MomentsObj) Assign(src core.RedObj) { *m = *src.(*MomentsObj) }
 
 // AppendBinary implements core.Appender.
 func (m *MomentsObj) AppendBinary(b []byte) ([]byte, error) {

@@ -79,9 +79,6 @@ type CountObj struct {
 	Count int64
 }
 
-// Clone implements core.RedObj.
-func (c *CountObj) Clone() core.RedObj { cp := *c; return &cp }
-
 // AppendBinary implements core.Appender: the MarshalBinary encoding,
 // appended in place so the serializer can reuse one buffer across objects.
 func (c *CountObj) AppendBinary(b []byte) ([]byte, error) { return appendI64(b, c.Count), nil }
@@ -102,18 +99,16 @@ func (c *CountObj) UnmarshalBinary(b []byte) error {
 // SizeBytes implements core.Sized.
 func (c *CountObj) SizeBytes() int { return 16 }
 
-// NewSlab implements core.FixedSizeObj: n counters in one backing array.
+// NewSlab implements core.FixedSizeObj: n copies of c in one backing array.
 func (c *CountObj) NewSlab(n int) []core.RedObj {
 	backing := make([]CountObj, n)
 	objs := make([]core.RedObj, n)
 	for i := range backing {
+		backing[i] = *c
 		objs[i] = &backing[i]
 	}
 	return objs
 }
-
-// Assign implements core.FixedSizeObj.
-func (c *CountObj) Assign(src core.RedObj) { *c = *src.(*CountObj) }
 
 // SumCountObj accumulates a sum and a count; it backs grid aggregation and
 // moving average (average = Sum/Count) and carries the early-emission
@@ -125,9 +120,6 @@ type SumCountObj struct {
 	// disables the trigger.
 	Expected int64
 }
-
-// Clone implements core.RedObj.
-func (o *SumCountObj) Clone() core.RedObj { cp := *o; return &cp }
 
 // AppendBinary implements core.Appender.
 func (o *SumCountObj) AppendBinary(b []byte) ([]byte, error) {
@@ -168,13 +160,11 @@ func (o *SumCountObj) NewSlab(n int) []core.RedObj {
 	backing := make([]SumCountObj, n)
 	objs := make([]core.RedObj, n)
 	for i := range backing {
+		backing[i] = *o
 		objs[i] = &backing[i]
 	}
 	return objs
 }
-
-// Assign implements core.FixedSizeObj.
-func (o *SumCountObj) Assign(src core.RedObj) { *o = *src.(*SumCountObj) }
 
 // WeightedObj accumulates a weighted sum and the total weight — the object
 // behind the position-weighted window convolutions (Savitzky–Golay,
@@ -185,9 +175,6 @@ type WeightedObj struct {
 	Count    int64
 	Expected int64
 }
-
-// Clone implements core.RedObj.
-func (o *WeightedObj) Clone() core.RedObj { cp := *o; return &cp }
 
 // AppendBinary implements core.Appender.
 func (o *WeightedObj) AppendBinary(b []byte) ([]byte, error) {
@@ -232,26 +219,17 @@ func (o *WeightedObj) NewSlab(n int) []core.RedObj {
 	backing := make([]WeightedObj, n)
 	objs := make([]core.RedObj, n)
 	for i := range backing {
+		backing[i] = *o
 		objs[i] = &backing[i]
 	}
 	return objs
 }
-
-// Assign implements core.FixedSizeObj.
-func (o *WeightedObj) Assign(src core.RedObj) { *o = *src.(*WeightedObj) }
 
 // ValuesObj preserves every contribution — the Θ(W) holistic object of
 // moving median (paper Section 4.1).
 type ValuesObj struct {
 	Values   []float64
 	Expected int64
-}
-
-// Clone implements core.RedObj.
-func (o *ValuesObj) Clone() core.RedObj {
-	cp := &ValuesObj{Expected: o.Expected}
-	cp.Values = append([]float64(nil), o.Values...)
-	return cp
 }
 
 // AppendBinary implements core.Appender.
@@ -299,15 +277,6 @@ func NewClusterObj(centroid []float64) *ClusterObj {
 	return &ClusterObj{
 		Centroid: append([]float64(nil), centroid...),
 		Sum:      make([]float64, len(centroid)),
-	}
-}
-
-// Clone implements core.RedObj.
-func (o *ClusterObj) Clone() core.RedObj {
-	return &ClusterObj{
-		Centroid: append([]float64(nil), o.Centroid...),
-		Sum:      append([]float64(nil), o.Sum...),
-		Size:     o.Size,
 	}
 }
 
@@ -359,21 +328,12 @@ func (o *ClusterObj) Update() {
 func (o *ClusterObj) SizeBytes() int { return 32 + 16*len(o.Centroid) }
 
 // GradObj is logistic regression's reduction object: the current weight
-// vector (broadcast state distributed through the combination map) and the
-// accumulated gradient.
+// vector (kept in the combination map, so checkpoints and the global
+// combination carry it) and the accumulated gradient.
 type GradObj struct {
 	Weights []float64
 	Grad    []float64
 	Count   int64
-}
-
-// Clone implements core.RedObj.
-func (o *GradObj) Clone() core.RedObj {
-	return &GradObj{
-		Weights: append([]float64(nil), o.Weights...),
-		Grad:    append([]float64(nil), o.Grad...),
-		Count:   o.Count,
-	}
 }
 
 // AppendBinary implements core.Appender.

@@ -144,8 +144,8 @@ func TestCheckpointStoreEncodePath(t *testing.T) {
 }
 
 // TestFixedSizeObjContracts pins the core.FixedSizeObj contract for every
-// shipped opt-in: NewSlab objects must be indistinguishable from zero-valued
-// objects, and Assign must reproduce exactly what Clone would.
+// shipped opt-in: NewSlab returns independent copies of its receiver, so a
+// factory's non-zero state reaches every slab object.
 func TestFixedSizeObjContracts(t *testing.T) {
 	protos := map[string]core.FixedSizeObj{
 		"CountObj":    &CountObj{Count: 7},
@@ -155,36 +155,33 @@ func TestFixedSizeObjContracts(t *testing.T) {
 	}
 	for name, proto := range protos {
 		t.Run(name, func(t *testing.T) {
+			want, err := proto.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
 			slab := proto.NewSlab(8)
 			if len(slab) != 8 {
 				t.Fatalf("NewSlab returned %d objects", len(slab))
 			}
-			zero := proto.Clone().(core.FixedSizeObj)
-			zero.Assign(slab[0]) // slab objects must themselves be assignable
 			for i, obj := range slab {
-				zb, err := obj.MarshalBinary()
+				got, err := obj.MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := proto.Clone().(core.FixedSizeObj).NewSlab(1)[0].MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("slab object %d differs from its prototype", i)
 				}
-				if !bytes.Equal(zb, want) {
-					t.Fatalf("slab object %d not zero-valued", i)
-				}
-				fo := obj.(core.FixedSizeObj)
-				fo.Assign(proto)
-				ab, err := fo.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cb, err := proto.Clone().MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ab, cb) {
-					t.Fatalf("slab object %d: Assign differs from Clone", i)
+			}
+			// Overwriting one slab object must leave its neighbours and the
+			// prototype alone.
+			zero := zeroOf(proto)
+			zb, _ := zero.MarshalBinary()
+			if err := slab[0].UnmarshalBinary(zb); err != nil {
+				t.Fatal(err)
+			}
+			for _, obj := range []core.RedObj{proto, slab[1], slab[7]} {
+				if got, _ := obj.MarshalBinary(); !bytes.Equal(got, want) {
+					t.Fatal("slab objects share state")
 				}
 			}
 		})

@@ -39,11 +39,6 @@ type TopKObj struct {
 	Items []Extreme // min-heap by Val
 }
 
-// Clone implements core.RedObj.
-func (o *TopKObj) Clone() core.RedObj {
-	return &TopKObj{K: o.K, Items: append([]Extreme(nil), o.Items...)}
-}
-
 // AppendBinary implements core.Appender.
 func (o *TopKObj) AppendBinary(b []byte) ([]byte, error) {
 	b = appendI64(b, int64(o.K))

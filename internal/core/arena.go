@@ -46,17 +46,15 @@ type arenaShard struct {
 
 // arenaStore is the reduction/combination-map storage layer: everything
 // between the scheduler and the bytes — lookup-or-insert on the reduction
-// hot path, the clone-seed of the per-iteration distribution step, the
-// shard-parallel combine-into, per-shard iteration for the canonical
-// serialization, and the flat views handed to application code.
+// hot path, the shard-parallel combine-into, per-shard iteration for the
+// canonical serialization, and the flat views handed to application code.
 //
 // Per shard it keeps a Fibonacci-hashed open-addressing index plus a
 // contiguous arena of reduction objects: no per-key map-entry allocation,
 // cache-friendly iteration (two flat arrays instead of bucket chains), all
 // storage reused across iterations via clear, and — for FixedSizeObj
-// applications — objects allocated in contiguous slabs and clone-seeded with
-// Assign instead of Clone, so the per-iteration distribution step allocates
-// O(keys/slab) instead of O(keys).
+// applications — objects allocated in contiguous slabs, so creating objects
+// for fresh keys allocates O(keys/slab) instead of O(keys).
 //
 // Keys are partitioned with shardIndex over a shard count every store of one
 // scheduler shares, so shard si of any two stores covers the same key set and
@@ -69,8 +67,7 @@ type arenaStore struct {
 	shards []arenaShard
 	create func() RedObj
 	// proto is non-nil when the factory's objects opt into the fixed-width
-	// inline layout; it doubles as the Assign source that puts recycled slab
-	// objects into exactly the factory-fresh state.
+	// inline layout; its NewSlab carves factory-fresh copies of it.
 	proto FixedSizeObj
 }
 
@@ -223,9 +220,6 @@ func (a *arenaStore) fresh(sh *arenaShard) RedObj {
 	}
 	obj := sh.slab[len(sh.slab)-1]
 	sh.slab = sh.slab[:len(sh.slab)-1]
-	// Slab objects are zero-valued; factories may construct non-zero state
-	// (pre-armed triggers), so copy the factory prototype in.
-	obj.(FixedSizeObj).Assign(a.proto)
 	return obj
 }
 
@@ -267,32 +261,6 @@ func (a *arenaStore) insert(key int, obj RedObj) {
 		}
 	}
 	sh.place(key, obj)
-}
-
-// insertClone stores a deep copy of src under key — the distribution step's
-// clone-seed — and returns the stored copy for accounting.
-func (a *arenaStore) insertClone(key int, src RedObj) RedObj {
-	if a.proto != nil {
-		if fo, ok := src.(FixedSizeObj); ok {
-			sh := a.shardOf(key)
-			dst := a.fresh(sh).(FixedSizeObj)
-			dst.Assign(fo)
-			// Replace in place when the key is present (matching insert's
-			// semantics); the distribute path only ever clones into empty
-			// stores, so this find usually ends at an empty cell.
-			if len(sh.index) > 0 {
-				if slot, _ := sh.find(key); slot >= 0 {
-					sh.objs[slot] = dst
-					return dst
-				}
-			}
-			sh.place(key, dst)
-			return dst
-		}
-	}
-	c := src.Clone()
-	a.insert(key, c)
-	return c
 }
 
 // remove erases key (early emission).

@@ -135,9 +135,10 @@ func (s *Scheduler[In, Out]) WriteCheckpointEnc(path string, enc codec.Encoding)
 // swapping in the decoded combination map it resets the
 // per-Run statistics, so counters from a partial run before the restore
 // cannot leak into post-restore accounting. Per-thread reduction maps and
-// iteration counters need no reset: both are created fresh at the start of
-// every Run, so a restore-then-continue sequence cannot double-count (the
-// restore-resume k-means test pins this invariant).
+// iteration counters need no reset: reduction maps start empty at every
+// iteration and iteration counters restart with every Run, so a
+// restore-then-continue sequence cannot double-count (the restore-resume
+// k-means test pins this invariant).
 func (s *Scheduler[In, Out]) ReadCheckpoint(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -18,11 +19,6 @@ import (
 type vecObj struct {
 	sums  []float64
 	count int64
-}
-
-func (v *vecObj) Clone() RedObj {
-	cp := &vecObj{sums: append([]float64(nil), v.sums...), count: v.count}
-	return cp
 }
 
 func (v *vecObj) MarshalBinary() ([]byte, error) { return v.AppendBinary(nil) }
@@ -171,10 +167,20 @@ func BenchmarkCombineCodec(b *testing.B) {
 	}
 }
 
+// cloneMap deep-copies template through a marshal round trip into fresh
+// objects of each entry's concrete type.
 func cloneMap(template CombMap) CombMap {
 	m := make(CombMap, len(template))
 	for k, obj := range template {
-		m[k] = obj.Clone()
+		b, err := obj.MarshalBinary()
+		if err != nil {
+			panic(err)
+		}
+		cp := reflect.New(reflect.TypeOf(obj).Elem()).Interface().(RedObj)
+		if err := cp.UnmarshalBinary(b); err != nil {
+			panic(err)
+		}
+		m[k] = cp
 	}
 	return m
 }

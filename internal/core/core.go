@@ -28,13 +28,13 @@ import (
 )
 
 // RedObj is the reduction object: the mutable value that accumulates all
-// elements sharing one key (paper Section 3.1). Implementations must support
-// deep copying and a binary wire format, which the runtime uses when
-// distributing the combination map to reduction maps and when serializing
-// maps for global combination.
+// elements sharing one key (paper Section 3.1). Implementations supply a
+// binary wire format, which the runtime uses when serializing maps for
+// global combination and checkpoints. Every iteration's reduction maps start
+// empty: objects are created with NewRedObj and merged into the combination
+// map, so broadcast state an Accumulate needs is cached by the application's
+// hooks (ProcessExtraData, PostCombine), not read from the object.
 type RedObj interface {
-	// Clone returns a deep copy of the object.
-	Clone() RedObj
 	// MarshalBinary encodes the object for global combination.
 	MarshalBinary() ([]byte, error)
 	// UnmarshalBinary decodes into the receiver.
@@ -164,15 +164,14 @@ type SchedArgs struct {
 	// (default 64).
 	RedObjBytes int
 	// CombineShards is the shard count S of the combination pipeline. The
-	// key space is hash-partitioned into S shards so local combination, the
-	// per-iteration distribution step, conversion, and the global
-	// combination tree all run shard-parallel. Zero defaults to NumThreads;
-	// 1 recovers the serial single-map pipeline (the reference the
-	// equivalence tests and ablation benchmarks compare against). The
-	// encoded byte format and all results are independent of S. Ranks of one
-	// job should agree on S — differing counts stay correct (incoming
-	// entries are routed by key, not segment) but lose the one-segment-per-
-	// shard alignment of the streamed global combine.
+	// key space is hash-partitioned into S shards so local combination,
+	// conversion, and the global combination tree all run shard-parallel.
+	// Zero defaults to NumThreads; 1 recovers the serial single-map pipeline
+	// (the reference the equivalence tests and ablation benchmarks compare
+	// against). The encoded byte format and all results are independent of
+	// S. Ranks of one job should agree on S — differing counts stay correct
+	// (incoming entries are routed by key, not segment) but lose the
+	// one-segment-per-shard alignment of the streamed global combine.
 	CombineShards int
 	// Obs is the observability sink for phase spans and runtime metrics
 	// (reduction-map sizes, keys touched, early emissions, serialized
@@ -266,7 +265,7 @@ type Scheduler[In, Out any] struct {
 	runCtx context.Context
 	// redMaps holds one reduction store per thread; thread t's split of
 	// every block of an iteration accumulates into redMaps[t]. The slots
-	// persist across iterations so their storage is reused (newSegStore).
+	// persist across iterations so their storage is reused (resetRedMaps).
 	redMaps []*arenaStore
 	// traceCtx, when valid, is the distributed-trace context every phase
 	// span of this scheduler parents under (SetTraceContext). Written

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,6 @@ import (
 // countObj is a minimal reduction object: an int64 counter.
 type countObj struct{ n int64 }
 
-func (c *countObj) Clone() RedObj { cp := *c; return &cp }
 func (c *countObj) MarshalBinary() ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(nil, uint64(c.n)), nil
 }
@@ -39,11 +39,11 @@ func (c *countObj) NewSlab(n int) []RedObj {
 	backing := make([]countObj, n)
 	objs := make([]RedObj, n)
 	for i := range backing {
+		backing[i] = *c
 		objs[i] = &backing[i]
 	}
 	return objs
 }
-func (c *countObj) Assign(src RedObj) { *c = *src.(*countObj) }
 
 // bucketApp is an equi-width histogram over int inputs: key = value / width.
 type bucketApp struct{ width int }
@@ -62,7 +62,6 @@ type meanObj struct {
 	count int64
 }
 
-func (m *meanObj) Clone() RedObj { cp := *m; return &cp }
 func (m *meanObj) MarshalBinary() ([]byte, error) {
 	buf := binary.LittleEndian.AppendUint64(nil, math.Float64bits(m.sum))
 	return binary.LittleEndian.AppendUint64(buf, uint64(m.count)), nil
@@ -82,7 +81,6 @@ type winObj struct {
 	target int64
 }
 
-func (w *winObj) Clone() RedObj { cp := *w; return &cp }
 func (w *winObj) Trigger() bool { return w.target > 0 && w.count == w.target }
 
 // movingSumApp computes, for every element index i, the sum of elements in
@@ -136,7 +134,6 @@ type clusterObj struct {
 	count    int64
 }
 
-func (c *clusterObj) Clone() RedObj { cp := *c; return &cp }
 func (c *clusterObj) MarshalBinary() ([]byte, error) {
 	buf := binary.LittleEndian.AppendUint64(nil, math.Float64bits(c.centroid))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.sum))
@@ -250,6 +247,27 @@ func TestRunThreadCountInvariance(t *testing.T) {
 			if out[i] != ref[i] {
 				t.Errorf("nt=%d bucket %d = %d, want %d", nt, i, out[i], ref[i])
 			}
+		}
+	}
+
+	// Runs without a reset accumulate into the combination map: two Runs
+	// over in must equal one Run over in twice, at every thread count.
+	twice := append(append([]int(nil), in...), in...)
+	for _, nt := range []int{1, 2, 4} {
+		args := SchedArgs{NumThreads: nt, ChunkSize: 1, NumIters: 1}
+		want := make([]int64, 10)
+		if err := MustNewScheduler[int, int64](bucketApp{width: 10}, args).Run(twice, want); err != nil {
+			t.Fatal(err)
+		}
+		s := MustNewScheduler[int, int64](bucketApp{width: 10}, args)
+		out := make([]int64, 10)
+		for run := 0; run < 2; run++ {
+			if err := s.Run(in, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(out, want) {
+			t.Errorf("nt=%d: two runs give %v, one run over the input twice %v", nt, out, want)
 		}
 	}
 }
@@ -836,9 +854,9 @@ func TestRepeatedRunsWithReset(t *testing.T) {
 }
 
 func TestRepeatedRunsCarryIterativeState(t *testing.T) {
-	// Iterative applications whose PostCombine resets accumulators (the
-	// paper's contract for distributed combination maps) carry state across
-	// Runs without a reset: k-means centroids track across time-steps.
+	// Iterative applications whose PostCombine resets accumulators carry
+	// state across Runs without a reset: k-means centroids track across
+	// time-steps.
 	var in []float64
 	for i := 0; i < 200; i++ {
 		in = append(in, float64(i%10), 100+float64(i%10)/10)

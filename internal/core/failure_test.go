@@ -22,7 +22,6 @@ type faultyObj struct {
 
 var errMarshal = errors.New("injected marshal failure")
 
-func (f *faultyObj) Clone() RedObj { cp := *f; return &cp }
 func (f *faultyObj) MarshalBinary() ([]byte, error) {
 	if f.failMarshal {
 		return nil, errMarshal

@@ -18,7 +18,6 @@ type monoidObj struct {
 	init                 bool
 }
 
-func (o *monoidObj) Clone() RedObj { cp := *o; return &cp }
 func (o *monoidObj) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, 33)
 	for _, v := range []int64{o.sum, o.count, o.min, o.max} {

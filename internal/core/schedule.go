@@ -19,47 +19,23 @@ type runEnv[In, Out any] struct {
 	tracker *memTracker
 }
 
-// distribute prepares the per-thread reduction stores for one iteration,
-// deep-cloning the combination map into each (the paper's per-iteration
-// distribution step). Called once per iteration, before the first
-// reduceBlock.
-func (s *Scheduler[In, Out]) distribute(env *runEnv[In, Out]) {
+// resetRedMaps empties the per-thread reduction stores for one iteration.
+// Every iteration's reduction starts from empty stores: state carried across
+// iterations and runs lives only in the combination map, which local
+// combination merges the stores into. Clearing in place reuses each store's
+// index, arena, and slab storage. Called once per iteration, before the
+// first reduceBlock.
+func (s *Scheduler[In, Out]) resetRedMaps() {
 	if s.redMaps == nil {
 		s.redMaps = make([]*arenaStore, s.args.NumThreads)
+		for t := range s.redMaps {
+			s.redMaps[t] = newArenaStore(s.store.numShards(), s.newObj)
+		}
+		return
 	}
-	for t := range s.redMaps {
-		s.redMaps[t] = s.newSegStore(s.redMaps[t])
+	for _, m := range s.redMaps {
+		m.clear()
 	}
-	s.distributeInto(s.redMaps, env)
-}
-
-// distributeInto deep-clones the combination map into every target reduction
-// store, shard-parallel: each worker clones its shard for every target, so
-// the per-iteration clone cost scales with cores instead of riding the
-// coordinating goroutine. insertClone is the store's clone-seed: it assigns
-// into slab slots for FixedSizeObj applications and clones through
-// RedObj.Clone otherwise.
-func (s *Scheduler[In, Out]) distributeInto(stores []*arenaStore, env *runEnv[In, Out]) {
-	forShards(s.store.numShards(), s.phaseWorkers(), func(si int) {
-		s.store.forEachIn(si, func(k int, obj RedObj) {
-			for t := range stores {
-				c := stores[t].insertClone(k, obj)
-				env.live.add(1)
-				env.tracker.add(int64(s.sizeOfRedObj(c)))
-			}
-		})
-	})
-}
-
-// newSegStore returns one per-thread reduction store: prev cleared in place,
-// reusing its index, arena, and slab storage, or a fresh store when there is
-// none.
-func (s *Scheduler[In, Out]) newSegStore(prev *arenaStore) *arenaStore {
-	if prev != nil {
-		prev.clear()
-		return prev
-	}
-	return newArenaStore(s.store.numShards(), s.newObj)
 }
 
 // reduceBlock is the paper's static schedule (Section 3.2): one block is

@@ -90,13 +90,9 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out) error 
 		if s.cancelled.Load() || ctx.Err() != nil {
 			return cancelErr(ctx)
 		}
-		// Distribute the (local or, after the first iteration's global
-		// combination, global) combination map into the per-thread reduction
-		// stores (shard-parallel deep clones; see distributeInto).
-		s.distribute(env)
-		if err := tracker.sync(); err != nil {
-			return err
-		}
+		// Reduction starts from empty per-thread stores; the combination map
+		// keeps the state carried across iterations.
+		s.resetRedMaps()
 
 		// Reduction phase, block by block, one split per thread.
 		redStart := time.Now()
@@ -125,7 +121,7 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out) error 
 		// partials merge in the same order however the goroutines were
 		// scheduled. Objects for unseen keys are moved; objects for existing
 		// keys are merged and die. The stores stay in their slots and are
-		// cleared for reuse at the next distribute.
+		// cleared for reuse at the next iteration.
 		start := time.Now()
 		durs := forShards(s.store.numShards(), s.phaseWorkers(), func(si int) {
 			for _, seg := range s.redMaps {
@@ -154,8 +150,8 @@ func (s *Scheduler[In, Out]) run(ctx context.Context, in []In, out []Out) error 
 			return cancelErr(ctx)
 		}
 		// Global combination: merge node combination maps across the
-		// communicator; every process ends up with the global map, which
-		// doubles as the "distribute global map" step of the next iteration.
+		// communicator; every process ends up with the global map, which the
+		// next iteration's reduction merges into.
 		if s.globalComb && s.args.Comm != nil && s.args.Comm.Size() > 1 {
 			gcStart := time.Now()
 			gcID, restore := s.pushPhaseTrace()
@@ -502,12 +498,10 @@ func (s *Scheduler[In, Out]) mergeEntry(k int, obj RedObj) {
 
 // GlobalCombine runs only the global combination phase over the current
 // combination map (honoring SetGlobalCombination), applies PostCombine, and
-// converts into out. It is the final step of the accumulator pattern: a
-// throwaway scheduler reduces each partition with a fresh map, an
-// accumulator folds the per-partition maps in with MergeCombinationMap, and
-// GlobalCombine performs the one cluster-wide merge at the end. (Running
-// the partitions through one scheduler without resets would replicate
-// accumulated state through the per-iteration distribution step.)
+// converts into out. It is the one cluster-wide merge at the end of a
+// sequence of local-only runs: runs without a reset accumulate into the
+// combination map, so partitions reduced with global combination off and
+// then one GlobalCombine count every element once.
 func (s *Scheduler[In, Out]) GlobalCombine(out []Out) error {
 	if s.globalComb && s.args.Comm != nil && s.args.Comm.Size() > 1 {
 		gcStart := time.Now()
@@ -528,8 +522,7 @@ func (s *Scheduler[In, Out]) GlobalCombine(out []Out) error {
 // globalCombine merges the per-process combination maps into one global map
 // on every process. The merge runs along the communicator's binomial
 // reduction tree using the application's own Merge, then the result is
-// broadcast — the same structure as the paper's global combination followed
-// by the distribution of the global map at the next iteration.
+// broadcast, so every rank continues from the global map.
 //
 // The tree operates per shard in decoded form (mpi.ReduceStream): a rank
 // serializes each of its shards exactly once — into a reusable scratch
@@ -558,8 +551,8 @@ func (s *Scheduler[In, Out]) globalCombine() error {
 	// one reusable scratch object and merged from there — no allocation.
 	// UnmarshalBinary fully replaces an object's state (the format fuzzer
 	// pins this), so scratch reuse across entries is sound; Merge must not
-	// retain its src, which the CombMap distribution contract already
-	// requires (local combination merges and drops objects the same way).
+	// retain its src (local combination merges and drops objects the same
+	// way).
 	var scratch RedObj
 	merge := func(_ int, payload []byte) error {
 		s.met.gcDecodeAvoided.Inc()

@@ -25,24 +25,16 @@ type storeStats struct {
 // state has a fixed width (no variable-length payload: histogram buckets,
 // moments, sum/count windows). The arena store exploits it for an inline
 // SoA-style layout: fresh objects are carved from slabs — one backing
-// allocation serving many objects, laid out contiguously — and the
-// per-iteration distribution step copies state with Assign instead of
-// allocating through Clone.
+// allocation serving many objects, laid out contiguously.
 //
-// Contracts: NewSlab's objects must be indistinguishable from zero-valued
-// objects of the receiver's concrete type, and Assign must leave the receiver
-// exactly equal to what src.Clone() would have produced. Applications opting
-// in must keep every object in their maps the one concrete type (the Merge
-// contract already demands this in practice).
+// Applications opting in must keep every object in their maps the one
+// concrete type (the Merge contract already demands this in practice).
 type FixedSizeObj interface {
 	RedObj
-	// NewSlab returns n fresh objects of the receiver's concrete type backed
-	// by one contiguous allocation. The receiver is only a prototype; its
-	// state is not read.
+	// NewSlab returns n copies of the receiver backed by one contiguous
+	// allocation. The store calls it on a factory-fresh object, so the
+	// copies carry any non-zero factory state (pre-armed triggers).
 	NewSlab(n int) []RedObj
-	// Assign replaces the receiver's state with a deep copy of src, which
-	// must have the receiver's concrete type.
-	Assign(src RedObj)
 }
 
 // forShards runs fn(shard index) for every one of n shards on up to workers

@@ -40,13 +40,9 @@ func TestStoreBasicOps(t *testing.T) {
 			t.Fatal("insert did not replace")
 		}
 		src := &countObj{n: 42}
-		c := st.insertClone(9, src)
-		if c == nil || c == RedObj(src) || c.(*countObj).n != 42 {
-			t.Fatalf("insertClone returned %v", c)
-		}
-		src.n = 0
-		if got, _ := st.lookup(9); got.(*countObj).n != 42 {
-			t.Fatal("insertClone aliased its source")
+		st.insert(9, src)
+		if got, _ := st.lookup(9); got != RedObj(src) {
+			t.Fatal("insert did not store its object")
 		}
 		if st.size() != 2 {
 			t.Fatalf("size %d, want 2", st.size())
@@ -229,11 +225,11 @@ func TestArenaSlab(t *testing.T) {
 	if obj2.(*countObj).n != -5 {
 		t.Fatalf("second slab object not factory-fresh: %+v", obj2)
 	}
-	// insertClone through the slab path copies state without allocating a
-	// standalone object.
-	c := a.insertClone(3, &countObj{n: 33})
-	if c.(*countObj).n != 33 {
-		t.Fatalf("insertClone state %+v", c)
+	// insert stores the caller's object as is.
+	c := &countObj{n: 33}
+	a.insert(3, c)
+	if got, _ := a.lookup(3); got != RedObj(c) {
+		t.Fatalf("insert stored %+v", got)
 	}
 	a.clear()
 	// Recycled slab objects must come back factory-fresh, and must not be
@@ -252,7 +248,7 @@ func TestArenaSlab(t *testing.T) {
 }
 
 // storeOp is one operation of a differential sequence: kind selects remove,
-// insert, insertClone, clear, or (any other value) lookupOrCreate-and-add.
+// insert (kinds 1 and 2), clear, or (any other value) lookupOrCreate-and-add.
 type storeOp struct {
 	kind int
 	key  int
@@ -277,12 +273,9 @@ func applyStoreOps(st *arenaStore, model CombMap, ops []storeOp) {
 		case 0:
 			st.remove(op.key)
 			delete(model, op.key)
-		case 1:
+		case 1, 2:
 			st.insert(op.key, &countObj{n: op.n})
 			model[op.key] = &countObj{n: op.n}
-		case 2:
-			st.insertClone(op.key, &countObj{n: -op.n})
-			model[op.key] = &countObj{n: -op.n}
 		case 3:
 			st.clear()
 			clear(model)
@@ -365,17 +358,16 @@ func TestStoreDifferentialRandomOps(t *testing.T) {
 	}
 }
 
-// TestSchedulerArenaByteIdentical runs the same two-iteration workload with
-// four combine shards; the encoded combination map must match the serial
-// pipeline (one shard) byte for byte. The reference keeps the thread count:
-// the distribution step seeds every thread's store with the combination map,
-// so with a non-idempotent Merge the second iteration's result depends on
-// NumThreads by design.
+// TestSchedulerArenaByteIdentical runs the same two-iteration workload on
+// four threads with four combine shards; the encoded combination map must
+// match the serial pipeline (one thread, one shard) byte for byte. Each
+// iteration's reduction starts from empty stores, so the second iteration
+// adds the input once more whatever the thread count.
 func TestSchedulerArenaByteIdentical(t *testing.T) {
 	in := histInput(4000)
-	encode := func(shards int) []byte {
+	encode := func(threads int) []byte {
 		s := MustNewScheduler[int, int64](bucketApp{width: 3},
-			SchedArgs{NumThreads: 4, ChunkSize: 1, NumIters: 2, CombineShards: shards})
+			SchedArgs{NumThreads: threads, ChunkSize: 1, NumIters: 2, CombineShards: threads})
 		out := make([]int64, 34)
 		if err := s.Run(in, out); err != nil {
 			t.Fatal(err)

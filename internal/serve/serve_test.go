@@ -505,6 +505,29 @@ func TestEveryRegisteredAppRuns(t *testing.T) {
 	}
 }
 
+// TestHistogramJobCountsEveryStepOnce: a multi-step histogram job
+// accumulates every time-step into one map, so its buckets total
+// steps × elems at any thread count.
+func TestHistogramJobCountsEveryStepOnce(t *testing.T) {
+	for _, threads := range []int{1, 2, 4} {
+		_, prog, err := Compile(JobSpec{App: "histogram", Steps: 3, Elems: 1000, Threads: threads}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prog.Run(context.Background(), func(StreamRecord) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, n := range res.(map[string]any)["buckets"].([]int64) {
+			total += n
+		}
+		if total != 3000 {
+			t.Errorf("threads=%d: buckets total %d, want 3000", threads, total)
+		}
+	}
+}
+
 func TestJobsChargeSharedMemNode(t *testing.T) {
 	node := memmodel.NewNode(256 << 20)
 	s := newTestServer(t, Config{Mem: node, Workers: 2})

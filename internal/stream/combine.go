@@ -99,7 +99,6 @@ func (nullApp[Out]) Merge(src, dst core.RedObj)                          {}
 
 type nullObj struct{}
 
-func (o *nullObj) Clone() core.RedObj             { return &nullObj{} }
 func (o *nullObj) MarshalBinary() ([]byte, error) { return nil, nil }
 func (o *nullObj) UnmarshalBinary(b []byte) error { return nil }
 
