@@ -153,9 +153,17 @@ func TestMutualInfoIndependent(t *testing.T) {
 	if err := s.Run(in, nil); err != nil {
 		t.Fatal(err)
 	}
-	mi := app.MI(s.CombinationMap())
+	com := s.CombinationMap()
+	mi := app.MI(com)
 	if mi < 0 || mi > 0.05 {
 		t.Fatalf("independent MI = %v, want ~0", mi)
+	}
+	// The sum over joint cells runs in key order: repeated calls on one
+	// map return the same bits.
+	for i := 0; i < 20; i++ {
+		if again := app.MI(com); math.Float64bits(again) != math.Float64bits(mi) {
+			t.Fatalf("call %d: MI = %v, first call %v", i, again, mi)
+		}
 	}
 }
 

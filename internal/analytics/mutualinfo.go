@@ -69,9 +69,10 @@ func (m *MutualInfo) Convert(obj core.RedObj, out *int64) {
 
 // MI computes the mutual information I(X;Y) in nats from a combination map
 // holding the joint histogram — the post-processing step a Smart pipeline
-// performs on the converged global result.
+// performs on the converged global result. The sum runs over the joint cells
+// in key order, so equal maps give equal bits.
 func (m *MutualInfo) MI(com core.CombMap) float64 {
-	joint := make(map[int]float64, len(com))
+	joint := make([]float64, m.XBuckets*m.YBuckets)
 	px := make([]float64, m.XBuckets)
 	py := make([]float64, m.YBuckets)
 	var total float64

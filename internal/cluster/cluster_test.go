@@ -257,6 +257,14 @@ func TestMultiRankJobSpansSubCommunicator(t *testing.T) {
 	if !ok || res["buckets"] == nil {
 		t.Fatalf("multi-rank result missing buckets: %v", v.Result)
 	}
+	// Both steps of both ranks' shares, each element counted once.
+	var total float64
+	for _, n := range res["buckets"].([]any) {
+		total += n.(float64)
+	}
+	if total != 8192*2 {
+		t.Errorf("multi-rank buckets total %v, want %d", total, 8192*2)
+	}
 	for r := 1; r <= 2; r++ {
 		if got := tc.regs[r].Counter("smart_cluster_jobs_executed_total").Value(); got != 1 {
 			t.Errorf("rank %d executed %d jobs, want 1", r, got)

@@ -13,8 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/scipioneer/smart/internal/analytics"
@@ -156,17 +157,19 @@ func (s *JobSpec) normalize() error {
 	return nil
 }
 
-// jobProgram is a built, ready-to-run job: run executes it (emitting stream
-// records as it goes) and returns the final result; checkpoint, when
-// non-nil, persists the job's combination-map state so a drained server (or
-// the cluster dispatcher, between steps) can hand the job to a future
-// executor, and restore loads such a state back. setSkip marks the leading
-// time-steps a restored run must consume without re-analyzing (their
-// contribution is already in the restored map), stepsDone reports completed
-// steps, and setTrace places the job's phase spans in a distributed trace.
-// Applications whose state is reset every time-step (the window filters)
-// have nil checkpoint/restore — there is nothing durable to save mid-run.
-type jobProgram struct {
+// Program is a compiled, ready-to-run job, run by the server's worker pool
+// or, through the exported methods, by a cluster worker rank. run executes
+// it (emitting stream records as it goes) and returns the final result;
+// checkpoint, when non-nil, persists the job's combination-map state so a
+// drained server (or the cluster dispatcher, between steps) can hand the
+// job to a future executor, and restore loads such a state back. setSkip
+// marks the leading time-steps a restored run must consume without
+// re-analyzing (their contribution is already in the restored map),
+// stepsDone reports completed steps, and setTrace places the job's phase
+// spans in a distributed trace. Applications whose state is reset every
+// time-step (the window filters) have nil checkpoint/restore — there is
+// nothing durable to save mid-run.
+type Program struct {
 	run        func(ctx context.Context, emit func(StreamRecord)) (any, error)
 	checkpoint func(path string) error
 	restore    func(path string) error
@@ -175,131 +178,117 @@ type jobProgram struct {
 	setTrace   func(tc obs.TraceContext)
 }
 
-// builder constructs a jobProgram from a normalized spec, charging the
+// builder constructs a Program from a normalized spec, charging the
 // scheduler's data structures against mem; comm, when non-nil, spans the
 // job's global combination across a sub-communicator. Construction performs
 // full validation: a builder error means the spec is bad (HTTP 400), never
 // that the server is overloaded.
-type builder func(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error)
+type builder func(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*Program, error)
 
-// builders is the typed job registry: the paper's evaluation applications
+// entry is a registered application: its batch builder and, for apps with
+// a standing-query form, the compiler of its windowed combiner.
+type entry struct {
+	batch    builder
+	standing func(spec JobSpec, mem *memmodel.Node) (schedCombiner, error)
+}
+
+// registry is the typed job registry: the paper's evaluation applications
 // plus an example two-stage pipeline, keyed by the names clients submit.
-var builders = map[string]builder{
-	"histogram":     buildHistogram,
-	"gridagg":       buildGridAgg,
-	"moments":       buildMoments,
-	"mutualinfo":    buildMutualInfo,
-	"logreg":        buildLogReg,
-	"kmeans":        buildKMeans,
-	"movingavg":     buildWindow("movingavg"),
-	"movingmedian":  buildWindow("movingmedian"),
-	"kde":           buildWindow("kde"),
-	"savgol":        buildWindow("savgol"),
-	"pipeline-grid": buildGridHistPipeline,
+// Every application but the pipeline is one compile function; batchApp and
+// standingApp derive its job forms from it.
+var registry = map[string]entry{
+	"histogram":     standingApp(compileHistogram),
+	"gridagg":       standingApp(compileGridAgg),
+	"moments":       standingApp(compileMoments),
+	"mutualinfo":    batchApp(compileMutualInfo),
+	"logreg":        batchApp(compileLogReg),
+	"kmeans":        batchApp(compileKMeans),
+	"movingavg":     standingApp(compileMovingAvg),
+	"movingmedian":  batchApp(compileMovingMedian),
+	"kde":           batchApp(compileKDE),
+	"savgol":        batchApp(compileSavGol),
+	"pipeline-grid": {batch: buildGridHistPipeline},
+}
+
+// batchApp registers an application that runs as batch jobs only.
+func batchApp[Out any](compile func(Params, int) (kernel[Out], error)) entry {
+	return entry{batch: def[Out](compile).build}
+}
+
+// standingApp registers an application that also runs as standing queries.
+func standingApp[Out any](compile func(Params, int) (kernel[Out], error)) entry {
+	d := def[Out](compile)
+	return entry{batch: d.build, standing: d.combiner}
 }
 
 // Apps returns the registered application names, sorted.
 func Apps() []string {
-	names := make([]string, 0, len(builders))
-	for n := range builders {
+	names := make([]string, 0, len(registry))
+	for n := range registry {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// buildJob normalizes the spec and dispatches to its application's builder.
-func buildJob(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (JobSpec, *jobProgram, error) {
+// Compile validates and compiles spec into a runnable Program. mem charges
+// the runtime's data structures; comm, when non-nil, is the job's
+// sub-communicator that the scheduler's global combination spans: every
+// iteration for iterative applications and every step for the window
+// filters, once after the last time-step for accumulating ones.
+func Compile(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (JobSpec, *Program, error) {
 	if err := spec.normalize(); err != nil {
 		return spec, nil, err
 	}
-	if spec.Kind == KindStanding {
-		prog, err := buildStanding(spec, mem, comm)
-		return spec, prog, err
-	}
-	b, ok := builders[spec.App]
+	e, ok := registry[spec.App]
 	if !ok {
 		return spec, nil, fmt.Errorf("serve: unknown app %q (have %v)", spec.App, Apps())
 	}
-	prog, err := b(spec, mem, comm)
-	return spec, prog, err
-}
-
-// Program is a compiled job for an external executor — the cluster worker
-// ranks run jobs through this surface instead of the server's local pool.
-type Program struct{ p *jobProgram }
-
-// Compile validates and compiles spec into a runnable Program. mem charges
-// the runtime's data structures; comm, when non-nil, is the job's
-// sub-communicator — the scheduler's global combination then spans its
-// ranks every time-step.
-func Compile(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (JobSpec, *Program, error) {
-	norm, p, err := buildJob(spec, mem, comm)
-	if err != nil {
-		return norm, nil, err
+	if spec.Kind == KindStanding {
+		prog, err := buildStanding(spec, e.standing, mem, comm)
+		return spec, prog, err
 	}
-	return norm, &Program{p: p}, nil
+	prog, err := e.batch(spec, mem, comm)
+	return spec, prog, err
 }
 
 // Run executes the program, forwarding stream records to emit.
 func (pr *Program) Run(ctx context.Context, emit func(StreamRecord)) (any, error) {
-	return pr.p.run(ctx, emit)
+	return pr.run(ctx, emit)
 }
 
 // CanCheckpoint reports whether the application has durable cross-step
 // state to persist (the window filters do not).
-func (pr *Program) CanCheckpoint() bool { return pr.p.checkpoint != nil }
+func (pr *Program) CanCheckpoint() bool { return pr.checkpoint != nil }
 
 // Checkpoint persists the job's combination map to path (crash-safe). Call
 // only between runs or between time-steps (from the emit callback of a
 // "step" record) — never while a reduction is in flight.
-func (pr *Program) Checkpoint(path string) error { return pr.p.checkpoint(path) }
+func (pr *Program) Checkpoint(path string) error { return pr.checkpoint(path) }
 
 // Restore loads a checkpointed combination map and marks the first
 // stepsDone time-steps as already analyzed: the run consumes them from the
 // deterministic stream without re-reducing, so the restored job's final
 // output is byte-identical to an uninterrupted run.
 func (pr *Program) Restore(path string, stepsDone int) error {
-	if pr.p.restore == nil {
+	if pr.restore == nil {
 		return fmt.Errorf("serve: application has no checkpoint state to restore")
 	}
-	if err := pr.p.restore(path); err != nil {
+	if err := pr.restore(path); err != nil {
 		return err
 	}
-	pr.p.setSkip(stepsDone)
+	pr.setSkip(stepsDone)
 	return nil
 }
 
 // StepsDone reports the completed time-steps (checkpoint-covered steps
 // included after a Restore).
-func (pr *Program) StepsDone() int { return pr.p.stepsDone() }
+func (pr *Program) StepsDone() int { return pr.stepsDone() }
 
 // SetTraceContext places the program's phase spans under the given trace
 // position (conventionally the job's root span on the coordinator).
-func (pr *Program) SetTraceContext(tc obs.TraceContext) { pr.p.setTrace(tc) }
+func (pr *Program) SetTraceContext(tc obs.TraceContext) { pr.setTrace(tc) }
 
-// rangeOr returns the spec's [lo, hi) value range, defaulting to ±4σ of the
-// emulator's standard-normal stream.
-func rangeOr(p Params) (lo, hi float64) {
-	if p.Hi > p.Lo {
-		return p.Lo, p.Hi
-	}
-	return -4, 4
-}
-
-// emulator builds the deterministic data source for a spec. dims > 1
-// switches the stream to labeled logistic-regression records.
-func emulator(spec JobSpec, dims int) (*sim.Emulator, error) {
-	return sim.NewEmulator(sim.EmulatorConfig{StepElems: spec.Elems, Seed: spec.Seed, Dims: dims})
-}
-
-// wireRunner couples a scheduler and a data source into a jobProgram: every
-// time-step the emulator produces is analyzed in place with the job's
-// context (so cancellation lands within one chunk), phase spans and early
-// emissions are forwarded to the job's stream, and the caller's result
-// extractor shapes the final payload. The returned program has run,
-// setSkip/stepsDone and setTrace wired; checkpoint/restore are the
-// caller's to attach for applications with durable state.
 // drainShield returns the context the per-step reductions run on: it
 // ignores a drain-class cancellation of ctx but propagates every other
 // cause. A drain must stop the run at a step boundary — the checkpoint
@@ -335,9 +324,64 @@ func drainRequested(ctx context.Context) error {
 	return nil
 }
 
-func wireRunner[Out any](sched *core.Scheduler[float64, Out], em *sim.Emulator,
-	spec JobSpec, mem *memmodel.Node, resetPerStep bool, outLen int,
-	result func(out []Out) any) *jobProgram {
+// kernel is an application compiled for n elements per time-step (or per
+// fired window): everything its batch and standing job forms need.
+type kernel[Out any] struct {
+	app core.Analytics[float64, Out]
+	// args carries ChunkSize, NumIters and Extra; the job form adds
+	// threads, mem and comm.
+	args core.SchedArgs
+	// dims is the emulator's Dims: above 1 it emits labeled records.
+	dims int
+	// n is the elements per time-step trimmed to whole records.
+	n int
+	// outLen is the converted-output length; zero skips conversion.
+	outLen int
+	// window marks the window family: the key space is sized by n, so the
+	// map resets every run and there is nothing to checkpoint.
+	window bool
+	// result shapes the payload from the scheduler and its output.
+	result func(s *core.Scheduler[float64, Out], out []Out) any
+}
+
+// schedArgs completes the kernel's scheduler arguments for one job.
+func (k kernel[Out]) schedArgs(threads int, mem *memmodel.Node, comm *mpi.Comm) core.SchedArgs {
+	a := k.args
+	a.NumThreads, a.Mem, a.Comm = threads, mem, comm
+	return a
+}
+
+// def is an application's compile function: the one place its params are
+// defaulted and bounds-checked, for n elements.
+type def[Out any] func(p Params, n int) (kernel[Out], error)
+
+// build is the batch job form. Every time-step the emulator produces is
+// analyzed in place with the job's context (so cancellation lands within
+// one chunk), phase spans and early emissions are forwarded to the job's
+// stream, and the kernel shapes the final payload.
+//
+// Across ranks an accumulating application — neither iterative nor
+// window-family — reduces its steps with global combination off and merges
+// once after the last one. Merging every step would fold the global map
+// each rank received into the next step's merge, counting earlier steps
+// once per rank. Iterative applications keep the per-iteration merge: their
+// PostCombine resets the accumulators it would double.
+func (d def[Out]) build(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*Program, error) {
+	k, err := d(spec.Params, spec.Elems)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := core.NewScheduler[float64, Out](k.app, k.schedArgs(spec.Threads, mem, comm))
+	if err != nil {
+		return nil, err
+	}
+	em, err := sim.NewEmulator(sim.EmulatorConfig{StepElems: k.n, Seed: spec.Seed, Dims: k.dims})
+	if err != nil {
+		return nil, err
+	}
+	_, iterative := k.app.(core.PostCombiner)
+	mergeOnce := comm != nil && !k.window && !iterative
+	sched.SetGlobalCombination(!mergeOnce)
 
 	// The phase pprof label on the reduction workers, composing with the
 	// job/tenant labels runJob sets around the whole program.
@@ -358,18 +402,21 @@ func wireRunner[Out any](sched *core.Scheduler[float64, Out], em *sim.Emulator,
 	})
 	var skip int
 	var done atomic.Int64
-	p := &jobProgram{
+	p := &Program{
 		setTrace:  sched.SetTraceContext,
 		setSkip:   func(n int) { skip = n },
 		stepsDone: func() int { return int(done.Load()) },
+	}
+	if !k.window {
+		p.checkpoint, p.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
 	}
 	p.run = func(ctx context.Context, e func(StreamRecord)) (any, error) {
 		emit = e
 		stepCtx, stop := drainShield(ctx)
 		defer stop()
 		var out []Out
-		if outLen > 0 {
-			out = make([]Out, outLen)
+		if k.outLen > 0 {
+			out = make([]Out, k.outLen)
 		}
 		step := 0
 		done.Store(int64(skip))
@@ -385,7 +432,7 @@ func wireRunner[Out any](sched *core.Scheduler[float64, Out], em *sim.Emulator,
 				step++
 				return nil
 			}
-			if resetPerStep {
+			if k.window {
 				sched.ResetCombinationMap()
 			}
 			if err := sched.RunContext(stepCtx, data, out); err != nil {
@@ -402,13 +449,50 @@ func wireRunner[Out any](sched *core.Scheduler[float64, Out], em *sim.Emulator,
 		if _, err := insitu.TimeSharingContext(ctx, em, analyze, insitu.TimeSharingConfig{Steps: spec.Steps, Mem: mem}); err != nil {
 			return nil, err
 		}
-		res := result(out)
+		if mergeOnce {
+			// A cancelled rank must not enter the collective its peers
+			// would wait in.
+			if err := stepCtx.Err(); err != nil {
+				return nil, context.Cause(stepCtx)
+			}
+			sched.SetGlobalCombination(true)
+			err := sched.GlobalCombine(out)
+			sched.SetGlobalCombination(false)
+			if err != nil {
+				return nil, err
+			}
+		}
+		res := k.result(sched, out)
 		if m, ok := res.(map[string]any); ok {
 			m["stats"] = statsView(sched.Stats().Snapshot())
 		}
 		return res, nil
 	}
-	return p
+	return p, nil
+}
+
+// combiner is the standing job form: every fired window of n elements runs
+// the kernel compiled for n, whose result becomes the window record's value.
+func (d def[Out]) combiner(spec JobSpec, mem *memmodel.Node) (schedCombiner, error) {
+	// Bounds on n are checked as windows fire; compiling for an unbounded n
+	// validates everything else at submission.
+	k, err := d(spec.Params, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return stream.NewSchedCombiner(stream.SchedOptions[Out]{
+		Build: func(n int) (core.Analytics[float64, Out], error) {
+			var err error
+			k, err = d(spec.Params, n)
+			return k.app, err
+		},
+		Args:    k.schedArgs(spec.Threads, mem, nil),
+		PerSize: true,
+		OutLen:  func(int) int { return k.outLen },
+		Result: func(s *core.Scheduler[float64, Out], out []Out) (any, error) {
+			return k.result(s, out), nil
+		},
+	})
 }
 
 // statsView shapes a stats snapshot into the JSON-friendly form embedded in
@@ -427,204 +511,133 @@ func statsView(st core.Stats) map[string]any {
 	}
 }
 
-func buildHistogram(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-	p := spec.Params
+// checker defaults and bounds-checks an application's params, keeping the
+// first error.
+type checker struct{ err error }
+
+// int defaults a zero knob to def and checks it lies in (0, max].
+func (c *checker) int(name string, v, def, max int) int {
+	if v == 0 {
+		v = def
+	}
+	if c.err == nil && (v < 0 || v > max) {
+		if max == math.MaxInt {
+			c.err = fmt.Errorf("serve: %s must be positive", name)
+		} else {
+			c.err = fmt.Errorf("serve: %s must be in (0, %d]", name, max)
+		}
+	}
+	return v
+}
+
+// records trims n elements to whole records of width rec, requiring one.
+func (c *checker) records(app string, n, rec int) int {
+	if c.err != nil {
+		return n
+	}
+	if n = n / rec * rec; n == 0 {
+		c.err = fmt.Errorf("serve: %s needs at least one %d-element record (elems >= %d)", app, rec, rec)
+	}
+	return n
+}
+
+// rangeOr returns the spec's [lo, hi) value range, defaulting to ±4σ of the
+// emulator's standard-normal stream.
+func rangeOr(p Params) (lo, hi float64) {
+	if p.Hi > p.Lo {
+		return p.Lo, p.Hi
+	}
+	return -4, 4
+}
+
+// cellsOf is the number of grid cells of size gs covering n > 0 elements.
+func cellsOf(n, gs int) int { return (n-1)/gs + 1 }
+
+func compileHistogram(p Params, n int) (kernel[int64], error) {
+	var c checker
+	buckets := c.int("histogram buckets", p.Buckets, 100, maxElems)
+	if c.err != nil {
+		return kernel[int64]{}, c.err
+	}
 	lo, hi := rangeOr(p)
-	buckets := p.Buckets
-	if buckets == 0 {
-		buckets = 100
-	}
-	if buckets < 0 || buckets > spec.Elems {
-		return nil, fmt.Errorf("serve: histogram buckets must be in (0, elems]")
-	}
-	app := analytics.NewHistogram(lo, hi, buckets)
-	sched, err := core.NewScheduler[float64, int64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	em, err := emulator(spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	prog := wireRunner(sched, em, spec, mem, false, buckets, func(out []int64) any {
-		return map[string]any{"buckets": out, "lo": lo, "hi": hi}
-	})
-	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
-	return prog, nil
+	return kernel[int64]{app: analytics.NewHistogram(lo, hi, buckets), args: core.SchedArgs{ChunkSize: 1}, n: n, outLen: buckets,
+		result: func(_ *core.Scheduler[float64, int64], out []int64) any {
+			return map[string]any{"buckets": slices.Clone(out), "lo": lo, "hi": hi}
+		}}, nil
 }
 
-func buildGridAgg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-	gs := spec.Params.GridSize
-	if gs == 0 {
-		gs = 1000
-	}
-	if gs < 0 || gs > spec.Elems {
-		return nil, fmt.Errorf("serve: grid_size must be in (0, elems]")
-	}
-	cells := (spec.Elems + gs - 1) / gs
-	app := analytics.NewGridAgg(gs, 0)
-	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	em, err := emulator(spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	prog := wireRunner(sched, em, spec, mem, false, cells, func(out []float64) any {
-		return map[string]any{"cells": out, "grid_size": gs}
-	})
-	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
-	return prog, nil
+func compileGridAgg(p Params, n int) (kernel[float64], error) {
+	return gridKernel(p, n, "cells", analytics.NewGridAgg)
 }
 
-func buildMoments(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-	gs := spec.Params.GridSize
-	if gs == 0 {
-		gs = 1000
-	}
-	if gs < 0 || gs > spec.Elems {
-		return nil, fmt.Errorf("serve: grid_size must be in (0, elems]")
-	}
-	cells := (spec.Elems + gs - 1) / gs
-	app := analytics.NewMoments(gs, 0)
-	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	em, err := emulator(spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	prog := wireRunner(sched, em, spec, mem, false, cells, func(out []float64) any {
-		return map[string]any{"variance": out, "grid_size": gs}
-	})
-	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
-	return prog, nil
+func compileMoments(p Params, n int) (kernel[float64], error) {
+	return gridKernel(p, n, "variance", analytics.NewMoments)
 }
 
-func buildMutualInfo(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-	p := spec.Params
+// gridKernel compiles a per-cell application over grid_size-element cells,
+// its output under key.
+func gridKernel[A core.Analytics[float64, float64]](p Params, n int, key string, newApp func(gs, base int) A) (kernel[float64], error) {
+	var c checker
+	gs := c.int("grid_size", p.GridSize, 1000, math.MaxInt)
+	if c.err != nil {
+		return kernel[float64]{}, c.err
+	}
+	return kernel[float64]{app: newApp(gs, 0), args: core.SchedArgs{ChunkSize: 1}, n: n, outLen: cellsOf(n, gs),
+		result: func(_ *core.Scheduler[float64, float64], out []float64) any {
+			return map[string]any{key: slices.Clone(out), "grid_size": gs}
+		}}, nil
+}
+
+func compileMutualInfo(p Params, n int) (kernel[int64], error) {
+	var c checker
+	buckets := c.int("mutualinfo buckets", p.Buckets, 64, 4096)
+	n = c.records("mutualinfo", n, 2) // (x, y) pairs
+	if c.err != nil {
+		return kernel[int64]{}, c.err
+	}
 	lo, hi := rangeOr(p)
-	buckets := p.Buckets
-	if buckets == 0 {
-		buckets = 64
-	}
-	if buckets < 0 || buckets > 4096 {
-		return nil, fmt.Errorf("serve: mutualinfo buckets must be in (0, 4096]")
-	}
-	spec.Elems = spec.Elems / 2 * 2 // element pairs
-	if spec.Elems == 0 {
-		return nil, fmt.Errorf("serve: mutualinfo needs at least one element pair")
-	}
 	app := analytics.NewMutualInfo(lo, hi, buckets, lo, hi, buckets)
-	sched, err := core.NewScheduler[float64, int64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: 2, NumIters: 1, Mem: mem, Comm: comm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	em, err := emulator(spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	prog := wireRunner(sched, em, spec, mem, false, 0, func([]int64) any {
-		return map[string]any{"mutual_information": app.MI(sched.CombinationMap())}
-	})
-	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
-	return prog, nil
+	return kernel[int64]{app: app, args: core.SchedArgs{ChunkSize: 2}, n: n,
+		result: func(s *core.Scheduler[float64, int64], _ []int64) any {
+			return map[string]any{"mutual_information": app.MI(s.CombinationMap())}
+		}}, nil
 }
 
-func buildLogReg(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-	p := spec.Params
-	dims := p.Dims
-	if dims == 0 {
-		dims = 8
-	}
-	if dims < 0 || dims > 1024 {
-		return nil, fmt.Errorf("serve: logreg dims must be in (0, 1024]")
-	}
-	iters := p.Iters
-	if iters == 0 {
-		iters = 3
-	}
-	if iters < 0 || iters > 1000 {
-		return nil, fmt.Errorf("serve: logreg iters must be in (0, 1000]")
+func compileLogReg(p Params, n int) (kernel[float64], error) {
+	var c checker
+	dims := c.int("logreg dims", p.Dims, 8, 1024)
+	iters := c.int("logreg iters", p.Iters, 3, 1000)
+	n = c.records("logreg", n, dims+1) // features + label
+	if c.err != nil {
+		return kernel[float64]{}, c.err
 	}
 	rate := p.Rate
 	if rate == 0 {
 		rate = 0.1
 	}
-	rec := dims + 1
-	spec.Elems = spec.Elems / rec * rec // whole records only
-	if spec.Elems == 0 {
-		return nil, fmt.Errorf("serve: logreg needs at least one record (elems >= dims+1)")
-	}
 	app := analytics.NewLogReg(dims, rate)
-	sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: rec, NumIters: iters, Mem: mem, Comm: comm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	em, err := emulator(spec, dims)
-	if err != nil {
-		return nil, err
-	}
-	prog := wireRunner(sched, em, spec, mem, false, 0, func([]float64) any {
-		return map[string]any{"weights": app.Weights(sched.CombinationMap())}
-	})
-	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
-	return prog, nil
+	return kernel[float64]{app: app, args: core.SchedArgs{ChunkSize: dims + 1, NumIters: iters}, dims: dims, n: n,
+		result: func(s *core.Scheduler[float64, float64], _ []float64) any {
+			return map[string]any{"weights": app.Weights(s.CombinationMap())}
+		}}, nil
 }
 
-func buildKMeans(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-	p := spec.Params
-	k, dims := p.K, p.Dims
-	if k == 0 {
-		k = 4
-	}
-	if dims == 0 {
-		dims = 4
-	}
-	if k < 0 || k > 4096 || dims < 0 || dims > 1024 {
-		return nil, fmt.Errorf("serve: kmeans k must be in (0, 4096], dims in (0, 1024]")
-	}
-	iters := p.Iters
-	if iters == 0 {
-		iters = 10
-	}
-	if iters < 0 || iters > 1000 {
-		return nil, fmt.Errorf("serve: kmeans iters must be in (0, 1000]")
-	}
-	spec.Elems = spec.Elems / dims * dims // whole points only
-	if spec.Elems == 0 {
-		return nil, fmt.Errorf("serve: kmeans needs at least one point (elems >= dims)")
+func compileKMeans(p Params, n int) (kernel[[]float64], error) {
+	var c checker
+	k := c.int("kmeans k", p.K, 4, 4096)
+	dims := c.int("kmeans dims", p.Dims, 4, 1024)
+	iters := c.int("kmeans iters", p.Iters, 10, 1000)
+	n = c.records("kmeans", n, dims) // points
+	if c.err != nil {
+		return kernel[[]float64]{}, c.err
 	}
 	lo, hi := rangeOr(p)
 	app := analytics.NewKMeans(k, dims)
-	sched, err := core.NewScheduler[float64, []float64](app, core.SchedArgs{
-		NumThreads: spec.Threads, ChunkSize: dims, NumIters: iters, Mem: mem, Comm: comm,
-		Extra: initCentroids(k, dims, lo, hi),
-	})
-	if err != nil {
-		return nil, err
-	}
-	em, err := emulator(spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	prog := wireRunner(sched, em, spec, mem, false, 0, func([][]float64) any {
-		return map[string]any{"centroids": app.Centroids(sched.CombinationMap())}
-	})
-	prog.checkpoint, prog.restore = sched.WriteCheckpoint, sched.ReadCheckpoint
-	return prog, nil
+	args := core.SchedArgs{ChunkSize: dims, NumIters: iters, Extra: initCentroids(k, dims, lo, hi)}
+	return kernel[[]float64]{app: app, args: args, n: n,
+		result: func(s *core.Scheduler[float64, []float64], _ [][]float64) any {
+			return map[string]any{"centroids": app.Centroids(s.CombinationMap())}
+		}}, nil
 }
 
 // initCentroids spreads k deterministic starting centroids across [lo, hi]
@@ -640,59 +653,53 @@ func initCentroids(k, dims int, lo, hi float64) []float64 {
 	return flat
 }
 
-// buildWindow constructs one of the four window-based applications. They
-// run through the multi-key path (their GenKeys), emit early (every window
-// position finalizes and streams as soon as its expected contributions
-// arrive), and reset per time-step — so they have no cross-step state to
-// checkpoint.
-func buildWindow(kind string) builder {
-	return func(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-		p := spec.Params
-		win := p.Window
-		if win == 0 {
-			win = 25
+func compileMovingAvg(p Params, n int) (kernel[float64], error) {
+	return windowKernel(p, n, func(win int, _ *checker) core.Analytics[float64, float64] {
+		return analytics.NewMovingAverage(win, n, 0, true)
+	})
+}
+
+func compileMovingMedian(p Params, n int) (kernel[float64], error) {
+	return windowKernel(p, n, func(win int, _ *checker) core.Analytics[float64, float64] {
+		return analytics.NewMovingMedian(win, n, 0, true)
+	})
+}
+
+func compileKDE(p Params, n int) (kernel[float64], error) {
+	return windowKernel(p, n, func(win int, _ *checker) core.Analytics[float64, float64] {
+		return analytics.NewKernelDensity(win, n, 0, true, p.Bandwidth)
+	})
+}
+
+func compileSavGol(p Params, n int) (kernel[float64], error) {
+	return windowKernel(p, n, func(win int, c *checker) core.Analytics[float64, float64] {
+		if order := c.int("savgol order", p.Order, 2, win-1); c.err == nil {
+			return analytics.NewSavitzkyGolay(win, order, n, 0, true)
 		}
-		if win < 0 || win > spec.Elems {
-			return nil, fmt.Errorf("serve: window must be in (0, elems]")
-		}
-		var app core.Analytics[float64, float64]
-		switch kind {
-		case "movingavg":
-			app = analytics.NewMovingAverage(win, spec.Elems, 0, true)
-		case "movingmedian":
-			app = analytics.NewMovingMedian(win, spec.Elems, 0, true)
-		case "kde":
-			app = analytics.NewKernelDensity(win, spec.Elems, 0, true, p.Bandwidth)
-		case "savgol":
-			order := p.Order
-			if order == 0 {
-				order = 2
-			}
-			if order < 0 || order >= win {
-				return nil, fmt.Errorf("serve: savgol order must be in (0, window)")
-			}
-			app = analytics.NewSavitzkyGolay(win, order, spec.Elems, 0, true)
-		default:
-			return nil, fmt.Errorf("serve: unknown window app %q", kind)
-		}
-		sched, err := core.NewScheduler[float64, float64](app, core.SchedArgs{
-			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
-		})
-		if err != nil {
-			return nil, err
-		}
-		em, err := emulator(spec, 0)
-		if err != nil {
-			return nil, err
-		}
-		return wireRunner(sched, em, spec, mem, true, spec.Elems, func(out []float64) any {
-			head := out
-			if len(head) > 32 {
-				head = head[:32]
-			}
-			return map[string]any{"len": len(out), "head": head}
-		}), nil
+		return nil
+	})
+}
+
+// windowKernel compiles a window-family application: its keys are the n
+// element positions, and every position emits early — it streams out as
+// soon as its window's contributions have arrived.
+func windowKernel(p Params, n int, newApp func(win int, c *checker) core.Analytics[float64, float64]) (kernel[float64], error) {
+	var c checker
+	win := c.int("window", p.Window, 25, n)
+	if c.err == nil && win%2 == 0 {
+		c.err = fmt.Errorf("serve: window must be odd")
 	}
+	var app core.Analytics[float64, float64]
+	if c.err == nil {
+		app = newApp(win, &c)
+	}
+	if c.err != nil {
+		return kernel[float64]{}, c.err
+	}
+	return kernel[float64]{app: app, args: core.SchedArgs{ChunkSize: 1}, n: n, outLen: n, window: true,
+		result: func(_ *core.Scheduler[float64, float64], out []float64) any {
+			return map[string]any{"len": len(out), "head": slices.Clone(out[:min(len(out), 32)])}
+		}}, nil
 }
 
 // buildGridHistPipeline is the example two-stage Smart pipeline from the
@@ -704,87 +711,33 @@ func buildWindow(kind string) builder {
 // cross-stage plumbing (buffering, ordering, flush) is the streaming
 // layer's, not this builder's. Both stages run on the job's context;
 // cancellation stops either within one chunk.
-func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
-	p := spec.Params
-	gs := p.GridSize
-	if gs == 0 {
-		gs = 256
+func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*Program, error) {
+	var c checker
+	gs := c.int("grid_size", spec.Params.GridSize, 256, math.MaxInt)
+	buckets := c.int("buckets", spec.Params.Buckets, 32, 1<<16)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if gs < 0 || gs > spec.Elems {
-		return nil, fmt.Errorf("serve: grid_size must be in (0, elems]")
-	}
-	buckets := p.Buckets
-	if buckets == 0 {
-		buckets = 32
-	}
-	if buckets < 0 || buckets > 1<<16 {
-		return nil, fmt.Errorf("serve: buckets must be in (0, 65536]")
-	}
-	cells := (spec.Elems + gs - 1) / gs
+	cells := cellsOf(spec.Elems, gs)
 	stage1, err := stream.NewSchedCombiner(stream.SchedOptions[float64]{
 		Build: func(int) (core.Analytics[float64, float64], error) {
 			return analytics.NewGridAgg(gs, 0), nil
 		},
-		Args: core.SchedArgs{
-			NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem, Comm: comm,
-		},
+		Args:   core.SchedArgs{NumThreads: spec.Threads, ChunkSize: 1, Mem: mem, Comm: comm},
 		OutLen: func(int) int { return cells },
 	})
 	if err != nil {
 		return nil, err
 	}
-	em, err := emulator(spec, 0)
+	em, err := sim.NewEmulator(sim.EmulatorConfig{StepElems: spec.Elems, Seed: spec.Seed})
 	if err != nil {
 		return nil, err
 	}
-	var (
-		mu    sync.Mutex
-		skip  int
-		snap  *stream.Snapshot
-		pipe  *stream.Pipeline
-		trace obs.TraceContext
-	)
-	var done atomic.Int64
-	prog := &jobProgram{
-		setSkip:   func(n int) { mu.Lock(); skip = n; mu.Unlock() },
-		stepsDone: func() int { return int(done.Load()) },
-		setTrace: func(tc obs.TraceContext) {
-			mu.Lock()
-			trace = tc
-			mu.Unlock()
-			stage1.SetTraceContext(tc)
-		},
-	}
-	prog.checkpoint = func(path string) error {
-		mu.Lock()
-		pp := pipe
-		mu.Unlock()
-		return writeSnapshotCheckpoint(path, pp)
-	}
-	prog.restore = func(path string) error {
-		s, err := readSnapshotCheckpoint(path)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		snap = s
-		mu.Unlock()
-		return nil
-	}
-	prog.run = func(ctx context.Context, emit func(StreamRecord)) (any, error) {
-		mu.Lock()
-		startStep := skip
-		restored := snap
-		tc := trace
-		mu.Unlock()
-		done.Store(int64(startStep))
-		stepCtx, stop := drainShield(ctx)
-		defer stop()
-
+	source := func(ctx context.Context, start int) (stream.Source, error) {
 		// A resumed run steps the emulator past the consumed prefix without
 		// analyzing it, keeping the deterministic stream aligned; the
 		// restored snapshot already holds those steps' contributions.
-		for i := 0; i < startStep; i++ {
+		for i := 0; i < start; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -792,24 +745,12 @@ func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*j
 				return nil, err
 			}
 		}
-		src := insitu.StreamSource(em, insitu.StreamSourceConfig{
-			TimeSharingConfig: insitu.TimeSharingConfig{Steps: spec.Steps - startStep, Mem: mem},
-			StartStep:         startStep,
-		})
-		stepSrc := stream.SourceFunc(func(fctx context.Context, push func(stream.Event) error) error {
-			return src.Feed(fctx, func(ev stream.Event) error {
-				if err := drainRequested(ctx); err != nil {
-					return err
-				}
-				if err := push(ev); err != nil {
-					return err
-				}
-				step := int(done.Add(1))
-				emit(StreamRecord{Type: "step", Step: step - 1})
-				return nil
-			})
-		})
-
+		return insitu.StreamSource(em, insitu.StreamSourceConfig{
+			TimeSharingConfig: insitu.TimeSharingConfig{Steps: spec.Steps - start, Mem: mem},
+			StartStep:         start,
+		}), nil
+	}
+	wire := func(steps stream.Source, _ func(StreamRecord), tc obs.TraceContext) (*stream.Pipeline, func(int64) (any, error)) {
 		// Stage two learns its bucket range from stage one's output — the
 		// cross-stage dependency that makes this a pipeline rather than two
 		// independent jobs. The global window delivers every step's means in
@@ -819,43 +760,31 @@ func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*j
 			if len(means) > cells {
 				means = means[len(means)-cells:]
 			}
-			lo, hi := means[0], means[0]
-			for _, v := range means {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
+			lo, hi := slices.Min(means), slices.Max(means)
 			if hi <= lo {
 				hi = lo + 1
 			}
-			sched, err := core.NewScheduler[float64, int64](analytics.NewHistogram(lo, hi, buckets), core.SchedArgs{
-				NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem,
-			})
+			sched, err := core.NewScheduler[float64, int64](analytics.NewHistogram(lo, hi, buckets),
+				core.SchedArgs{NumThreads: spec.Threads, ChunkSize: 1, Mem: mem})
 			if err != nil {
 				return nil, err
 			}
-			mu.Lock()
-			sched.SetTraceContext(trace)
-			mu.Unlock()
+			sched.SetTraceContext(tc)
 			hist := make([]int64, buckets)
 			if err := sched.RunContext(cctx, means, hist); err != nil {
 				return nil, err
 			}
-			result := map[string]any{
+			return map[string]any{
 				"cell_means": cells, "lo": lo, "hi": hi, "buckets": hist,
 				"stats": map[string]any{
 					"stage2": statsView(sched.Stats().Snapshot()),
 				},
-			}
-			return result, nil
+			}, nil
 		})
 
 		var result map[string]any
 		pl := stream.New().
-			From(stepSrc).
+			From(steps).
 			Window(stream.Tumbling(1)).
 			Combine(stage1).
 			ThenMap(func(res stream.WindowResult) (stream.Event, bool) {
@@ -867,27 +796,15 @@ func buildGridHistPipeline(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*j
 				result = res.Value.(map[string]any)
 				return nil
 			}))
-		if tc.Valid() {
-			stage1.SetTraceContext(tc)
-		}
-		mu.Lock()
-		pipe = pl
-		mu.Unlock()
-		if restored != nil {
-			if err := pl.Restore(restored); err != nil {
-				return nil, err
+		return pl, func(int64) (any, error) {
+			if result == nil {
+				return nil, fmt.Errorf("serve: pipeline finished without firing its global window")
 			}
+			if st := stage1.Stats(); st != nil {
+				result["stats"].(map[string]any)["stage1"] = statsView(st.Snapshot())
+			}
+			return result, nil
 		}
-		if err := pl.Run(stepCtx); err != nil {
-			return nil, err
-		}
-		if result == nil {
-			return nil, fmt.Errorf("serve: pipeline finished without firing its global window")
-		}
-		if st := stage1.Stats(); st != nil {
-			result["stats"].(map[string]any)["stage1"] = statsView(st.Snapshot())
-		}
-		return result, nil
 	}
-	return prog, nil
+	return pipelineProgram(stage1, source, wire), nil
 }

@@ -143,7 +143,7 @@ type Job struct {
 	id     string
 	spec   JobSpec
 	tenant string
-	prog   *jobProgram
+	prog   *Program
 	ctx    context.Context
 	// cancel cancels the job's context with a cause; runJob classifies the
 	// terminal status from it.
@@ -275,7 +275,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if s.cfg.Executor != nil {
 		buildMem = nil
 	}
-	norm, prog, err := buildJob(spec, buildMem, nil)
+	norm, prog, err := Compile(spec, buildMem, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 }
 
 // admit registers and enqueues a compiled job.
-func (s *Server) admit(norm JobSpec, prog *jobProgram, resumeCkpt string, resumeSteps int, sidecar string) (*Job, error) {
+func (s *Server) admit(norm JobSpec, prog *Program, resumeCkpt string, resumeSteps int, sidecar string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -485,14 +485,8 @@ func (s *Server) runJob(j *Job) {
 // job's checkpoint first.
 func (s *Server) runLocal(ctx context.Context, j *Job, tc obs.TraceContext) (any, error) {
 	if j.resumeCkpt != "" {
-		if j.prog.restore == nil {
-			return nil, fmt.Errorf("serve: job %s has a checkpoint but app %q cannot restore", j.id, j.spec.App)
-		}
-		if err := j.prog.restore(j.resumeCkpt); err != nil {
-			return nil, err
-		}
-		if j.prog.setSkip != nil {
-			j.prog.setSkip(j.resumeSteps)
+		if err := j.prog.Restore(j.resumeCkpt, j.resumeSteps); err != nil {
+			return nil, fmt.Errorf("serve: resume job %s: %w", j.id, err)
 		}
 	}
 	if j.prog.setTrace != nil {
@@ -546,13 +540,22 @@ func writeResumeSidecar(path string, spec JobSpec, stepsDone int) error {
 	if err != nil {
 		return fmt.Errorf("serve: encode resume sidecar: %w", err)
 	}
+	if err := writeFileAtomic(path, buf); err != nil {
+		return fmt.Errorf("serve: write resume sidecar: %w", err)
+	}
+	return nil
+}
+
+// writeFileAtomic writes buf to a temporary file and renames it over path,
+// so a reader sees the old file or the whole new one.
+func writeFileAtomic(path string, buf []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("serve: write resume sidecar: %w", err)
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("serve: publish resume sidecar: %w", err)
+		return err
 	}
 	return nil
 }
@@ -564,12 +567,7 @@ func writeResumeSidecar(path string, spec JobSpec, stepsDone int) error {
 // durable files live on the coordinator.
 func WriteResumeArtifacts(dir, id string, spec JobSpec, ck []byte, steps int) (string, error) {
 	ckPath := filepath.Join(dir, id+".ck")
-	tmp := ckPath + ".tmp"
-	if err := os.WriteFile(tmp, ck, 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, ckPath); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(ckPath, ck); err != nil {
 		return "", err
 	}
 	if err := writeResumeSidecar(sidecarPath(ckPath), spec, steps); err != nil {
@@ -610,9 +608,9 @@ func (s *Server) RestoreCheckpoints() ([]string, error) {
 			continue
 		}
 		ckPath := filepath.Join(dir, sc.Checkpoint)
-		var prog *jobProgram
+		var prog *Program
 		if s.cfg.Executor == nil {
-			_, prog, err = buildJob(sc.Spec, s.cfg.Mem, nil)
+			_, prog, err = Compile(sc.Spec, s.cfg.Mem, nil)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("serve: rebuild %s: %w", sidecar, err)

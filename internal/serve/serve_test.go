@@ -6,12 +6,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,8 +31,8 @@ import (
 func registerBlockingApp(t *testing.T) chan struct{} {
 	t.Helper()
 	release := make(chan struct{})
-	builders["test-block"] = func(JobSpec, *memmodel.Node, *mpi.Comm) (*jobProgram, error) {
-		return &jobProgram{run: func(ctx context.Context, emit func(StreamRecord)) (any, error) {
+	registry["test-block"] = entry{batch: func(JobSpec, *memmodel.Node, *mpi.Comm) (*Program, error) {
+		return &Program{run: func(ctx context.Context, emit func(StreamRecord)) (any, error) {
 			select {
 			case <-release:
 				return "released", nil
@@ -35,8 +40,8 @@ func registerBlockingApp(t *testing.T) chan struct{} {
 				return nil, context.Cause(ctx)
 			}
 		}}, nil
-	}
-	t.Cleanup(func() { delete(builders, "test-block") })
+	}}
+	t.Cleanup(func() { delete(registry, "test-block") })
 	return release
 }
 
@@ -66,17 +71,36 @@ func waitStatus(t *testing.T, j *Job, want Status, timeout time.Duration) {
 	t.Fatalf("job %s: status = %q, want %q within %v", j.ID(), j.View().Status, want, timeout)
 }
 
+// TestSubmitRejectsBadSpecs: bad specs fail at submission; the accept rows
+// are bounds batch and standing once disagreed on, and run to done.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
-	s := newTestServer(t, Config{})
-	for _, spec := range []JobSpec{
-		{},
-		{App: "no-such-app"},
-		{App: "histogram", Elems: -1},
-		{App: "histogram", Params: Params{Buckets: -5}},
-		{App: "kmeans", Params: Params{K: -1}},
+	s := newTestServer(t, Config{Workers: 2})
+	for _, c := range []struct {
+		spec JobSpec
+		ok   bool
+	}{
+		{JobSpec{}, false},
+		{JobSpec{App: "no-such-app"}, false},
+		{JobSpec{App: "histogram", Elems: -1}, false},
+		{JobSpec{App: "histogram", Params: Params{Buckets: -5}}, false},
+		{JobSpec{App: "histogram", Params: Params{Buckets: maxElems + 1}}, false},
+		{JobSpec{App: "kmeans", Params: Params{K: -1}}, false},
+		{JobSpec{App: "logreg", Elems: 8, Params: Params{Dims: 8}}, false},
+		{JobSpec{App: "movingavg", Elems: 64, Params: Params{Window: 65}}, false},
+		{JobSpec{App: "movingavg", Params: Params{Window: 24}}, false},
+		{JobSpec{App: "histogram", Elems: 64, Params: Params{Buckets: 100}}, true},
+		{JobSpec{App: "gridagg", Elems: 64, Params: Params{GridSize: 1000}}, true},
+		{JobSpec{App: "moments", Elems: 64}, true},
+		{JobSpec{App: "pipeline-grid", Elems: 64, Params: Params{GridSize: 1000}}, true},
 	} {
-		if _, err := s.Submit(spec); err == nil {
-			t.Errorf("Submit(%+v) accepted a bad spec", spec)
+		j, err := s.Submit(c.spec)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("Submit(%+v) rejected a good spec: %v", c.spec, err)
+		case !c.ok && err == nil:
+			t.Errorf("Submit(%+v) accepted a bad spec", c.spec)
+		case c.ok:
+			waitStatus(t, j, StatusDone, 10*time.Second)
 		}
 	}
 }
@@ -499,31 +523,112 @@ func TestEveryRegisteredAppRuns(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		waitStatus(t, j, StatusDone, 30*time.Second)
-		if j.View().Result == nil {
-			t.Errorf("%s: done with nil result", name)
+		res := j.View().Result
+		if res == nil {
+			t.Fatalf("%s: done with nil result", name)
 		}
+		checkGolden(t, "batch-"+name+".json", canonicalResult(t, res))
+	}
+
+	// The standing forms: every fired window and early emission, sorted
+	// (emissions race across reduction threads), must match the golden.
+	standing := map[string]JobSpec{
+		"histogram-sliding": {App: "histogram", Steps: 8, Elems: 2048, Seed: 5,
+			Params: Params{WindowKind: "sliding", WindowSize: 4, WindowSlide: 2, Buckets: 16}},
+		"gridagg-tumbling": {App: "gridagg", Steps: 8, Elems: 2048, Seed: 6,
+			Params: Params{WindowSize: 2, GridSize: 256}},
+		"moments-session": {App: "moments", Steps: 6, Elems: 2048, Seed: 7,
+			Params: Params{WindowKind: "session", WindowSize: 2, GridSize: 512}},
+		"movingavg": {App: "movingavg", Steps: 4, Elems: 64, Seed: 8,
+			Params: Params{WindowSize: 2, Window: 5}},
+	}
+	for name, spec := range standing {
+		spec.Kind = KindStanding
+		_, prog, err := Compile(spec, nil, nil)
+		if err != nil {
+			t.Fatalf("standing %s: %v", name, err)
+		}
+		var mu sync.Mutex
+		var lines []string
+		if _, err := prog.Run(context.Background(), func(rec StreamRecord) {
+			if rec.Type != "window" && rec.Type != "emit" {
+				return
+			}
+			buf, _ := json.Marshal(rec) // window and emit values are plain JSON
+			mu.Lock()
+			lines = append(lines, string(buf))
+			mu.Unlock()
+		}); err != nil {
+			t.Fatalf("standing %s: %v", name, err)
+		}
+		sort.Strings(lines)
+		checkGolden(t, "standing-"+name+".ndjson", []byte(strings.Join(lines, "\n")+"\n"))
+	}
+}
+
+// updateGolden rewrites the testdata goldens instead of comparing with them.
+var updateGolden = flag.Bool("update", false, "rewrite testdata goldens")
+
+// canonicalResult is a job result's JSON without its run-dependent stats.
+func canonicalResult(t *testing.T, res any) []byte {
+	t.Helper()
+	m := maps.Clone(res.(map[string]any))
+	delete(m, "stats")
+	buf, err := json.MarshalIndent(m, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(buf, '\n')
+}
+
+// checkGolden compares got with testdata/name byte for byte.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(got, want) {
+		t.Errorf("%s: result differs from the golden\n got: %.400s\nwant: %.400s", name, got, want)
 	}
 }
 
 // TestHistogramJobCountsEveryStepOnce: a multi-step histogram job
 // accumulates every time-step into one map, so its buckets total
-// steps × elems at any thread count.
+// steps × elems × ranks on every rank, at any thread count: the ranks merge
+// once, after the last step.
 func TestHistogramJobCountsEveryStepOnce(t *testing.T) {
-	for _, threads := range []int{1, 2, 4} {
-		_, prog, err := Compile(JobSpec{App: "histogram", Steps: 3, Elems: 1000, Threads: threads}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := prog.Run(context.Background(), func(StreamRecord) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total int64
-		for _, n := range res.(map[string]any)["buckets"].([]int64) {
-			total += n
-		}
-		if total != 3000 {
-			t.Errorf("threads=%d: buckets total %d, want 3000", threads, total)
+	for _, ranks := range []int{1, 2, 3} {
+		for _, threads := range []int{1, 2, 4} {
+			var wg sync.WaitGroup
+			for r, comm := range mpi.NewWorld(ranks) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					spec := JobSpec{App: "histogram", Steps: 3, Elems: 1000, Threads: threads, Seed: uint64(r + 1)}
+					_, prog, err := Compile(spec, nil, comm)
+					var res any
+					if err == nil {
+						res, err = prog.Run(context.Background(), func(StreamRecord) {})
+					}
+					if err != nil {
+						t.Errorf("ranks=%d threads=%d rank %d: %v", ranks, threads, r, err)
+						return
+					}
+					var total int64
+					for _, n := range res.(map[string]any)["buckets"].([]int64) {
+						total += n
+					}
+					if want := int64(3000 * ranks); total != want {
+						t.Errorf("ranks=%d threads=%d rank %d: buckets total %d, want %d", ranks, threads, r, total, want)
+					}
+				}()
+			}
+			wg.Wait()
 		}
 	}
 }

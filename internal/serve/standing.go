@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 
-	"github.com/scipioneer/smart/internal/analytics"
 	"github.com/scipioneer/smart/internal/core"
 	"github.com/scipioneer/smart/internal/memmodel"
 	"github.com/scipioneer/smart/internal/mpi"
@@ -66,97 +66,12 @@ func latePolicyOf(p Params) (stream.LatePolicy, error) {
 	}
 }
 
-// standingCombiner compiles the spec's application into a windowed combiner.
-// The per-window result payloads mirror the batch builders' result maps so a
-// standing query's windows read like a sequence of small batch results.
-func standingCombiner(spec JobSpec, mem *memmodel.Node) (stream.Combiner, error) {
-	args := core.SchedArgs{NumThreads: spec.Threads, ChunkSize: 1, NumIters: 1, Mem: mem}
-	p := spec.Params
-	switch spec.App {
-	case "histogram":
-		lo, hi := rangeOr(p)
-		buckets := p.Buckets
-		if buckets == 0 {
-			buckets = 100
-		}
-		if buckets < 0 || buckets > 1<<16 {
-			return nil, fmt.Errorf("serve: histogram buckets must be in (0, 65536]")
-		}
-		return stream.NewSchedCombiner(stream.SchedOptions[int64]{
-			Build: func(int) (core.Analytics[float64, int64], error) {
-				return analytics.NewHistogram(lo, hi, buckets), nil
-			},
-			Args:   args,
-			OutLen: func(int) int { return buckets },
-			Result: func(_ *core.Scheduler[float64, int64], out []int64) (any, error) {
-				return map[string]any{"buckets": append([]int64(nil), out...), "lo": lo, "hi": hi}, nil
-			},
-		})
-	case "gridagg":
-		gs := p.GridSize
-		if gs == 0 {
-			gs = 1000
-		}
-		if gs < 0 {
-			return nil, fmt.Errorf("serve: grid_size must be positive")
-		}
-		return stream.NewSchedCombiner(stream.SchedOptions[float64]{
-			Build: func(int) (core.Analytics[float64, float64], error) {
-				return analytics.NewGridAgg(gs, 0), nil
-			},
-			Args:   args,
-			OutLen: func(n int) int { return (n + gs - 1) / gs },
-			Result: func(_ *core.Scheduler[float64, float64], out []float64) (any, error) {
-				return map[string]any{"cells": append([]float64(nil), out...), "grid_size": gs}, nil
-			},
-		})
-	case "moments":
-		gs := p.GridSize
-		if gs == 0 {
-			gs = 1000
-		}
-		if gs < 0 {
-			return nil, fmt.Errorf("serve: grid_size must be positive")
-		}
-		return stream.NewSchedCombiner(stream.SchedOptions[float64]{
-			Build: func(int) (core.Analytics[float64, float64], error) {
-				return analytics.NewMoments(gs, 0), nil
-			},
-			Args:   args,
-			OutLen: func(n int) int { return (n + gs - 1) / gs },
-			Result: func(_ *core.Scheduler[float64, float64], out []float64) (any, error) {
-				return map[string]any{"variance": append([]float64(nil), out...), "grid_size": gs}, nil
-			},
-		})
-	case "movingavg":
-		win := p.Window
-		if win == 0 {
-			win = 25
-		}
-		if win < 0 {
-			return nil, fmt.Errorf("serve: window must be positive")
-		}
-		return stream.NewSchedCombiner(stream.SchedOptions[float64]{
-			Build: func(n int) (core.Analytics[float64, float64], error) {
-				if win > n {
-					return nil, fmt.Errorf("serve: moving-average window %d wider than the %d-element query window", win, n)
-				}
-				return analytics.NewMovingAverage(win, n, 0, true), nil
-			},
-			Args:    args,
-			PerSize: true,
-			OutLen:  func(n int) int { return n },
-			Result: func(_ *core.Scheduler[float64, float64], out []float64) (any, error) {
-				head := out
-				if len(head) > 32 {
-					head = head[:32]
-				}
-				return map[string]any{"len": len(out), "head": append([]float64(nil), head...)}, nil
-			},
-		})
-	default:
-		return nil, fmt.Errorf("serve: app %q has no standing-query form (have histogram, gridagg, moments, movingavg)", spec.App)
-	}
+// schedCombiner is a windowed combiner running on core.Scheduler
+// (stream.SchedCombiner): its runs join the job's trace and report stats.
+type schedCombiner interface {
+	stream.Combiner
+	SetTraceContext(tc obs.TraceContext)
+	Stats() *core.Stats
 }
 
 // standingCheckpoint is the durable form of a drained streaming job: the
@@ -180,15 +95,7 @@ func writeSnapshotCheckpoint(path string, p *stream.Pipeline) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return writeFileAtomic(path, buf)
 }
 
 // readSnapshotCheckpoint loads a snapshot checkpoint written by
@@ -209,12 +116,14 @@ func readSnapshotCheckpoint(path string) (*stream.Snapshot, error) {
 }
 
 // buildStanding compiles a standing (continuous windowed) job: the spec's
-// application becomes a stream combiner, the deterministic emulator stream
-// becomes the source (event time = step index), fired windows stream out as
-// "window" records, and a drain checkpoint persists the pipeline snapshot —
-// open windows travel across the restart, fired ones do not, so a resumed
-// query emits each window exactly once.
-func buildStanding(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgram, error) {
+// application becomes a stream combiner (compile, nil for an application
+// with no standing form), the deterministic emulator stream becomes the
+// source (event time = step index), fired windows stream out as "window"
+// records, and a drain checkpoint persists the pipeline snapshot — open
+// windows travel across the restart, fired ones do not, so a resumed query
+// emits each window exactly once.
+func buildStanding(spec JobSpec, compile func(JobSpec, *memmodel.Node) (schedCombiner, error),
+	mem *memmodel.Node, comm *mpi.Comm) (*Program, error) {
 	if comm != nil {
 		return nil, fmt.Errorf("serve: standing queries cannot span cluster ranks")
 	}
@@ -229,83 +138,29 @@ func buildStanding(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgra
 	if spec.Params.AllowedLateness < 0 {
 		return nil, fmt.Errorf("serve: allowed_lateness must be non-negative")
 	}
-	comb, err := standingCombiner(spec, mem)
+	if compile == nil {
+		var have []string
+		for _, name := range Apps() {
+			if registry[name].standing != nil {
+				have = append(have, name)
+			}
+		}
+		return nil, fmt.Errorf("serve: app %q has no standing-query form (have %s)", spec.App, strings.Join(have, ", "))
+	}
+	comb, err := compile(spec, mem)
 	if err != nil {
 		return nil, err
 	}
-
-	var (
-		mu    sync.Mutex
-		skip  int
-		snap  *stream.Snapshot // restored state, applied at run start
-		pipe  *stream.Pipeline // live pipeline, for checkpointing
-		trace obs.TraceContext
-	)
-	var done atomic.Int64
-	prog := &jobProgram{
-		setSkip:   func(n int) { mu.Lock(); skip = n; mu.Unlock() },
-		stepsDone: func() int { return int(done.Load()) },
-		setTrace: func(tc obs.TraceContext) {
-			mu.Lock()
-			trace = tc
-			mu.Unlock()
-			if ts, ok := comb.(interface{ SetTraceContext(obs.TraceContext) }); ok {
-				ts.SetTraceContext(tc)
-			}
-		},
+	source := func(_ context.Context, start int) (stream.Source, error) {
+		return stream.Generator(stream.GeneratorConfig{
+			Steps: spec.Steps - start, StepElems: spec.Elems,
+			Seed: spec.Seed, StartStep: start,
+		}), nil
 	}
-	prog.checkpoint = func(path string) error {
-		mu.Lock()
-		p := pipe
-		mu.Unlock()
-		return writeSnapshotCheckpoint(path, p)
-	}
-	prog.restore = func(path string) error {
-		s, err := readSnapshotCheckpoint(path)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		snap = s
-		mu.Unlock()
-		return nil
-	}
-
-	prog.run = func(ctx context.Context, emit func(StreamRecord)) (any, error) {
-		mu.Lock()
-		startStep := skip
-		restored := snap
-		mu.Unlock()
-		done.Store(int64(startStep))
-
-		// The drain shield lets an in-flight window combine finish; the
-		// source stops at the next step boundary, Run surfaces the drain
-		// cause with every open window intact, and the checkpoint snapshots
-		// exactly that state.
-		stepCtx, stop := drainShield(ctx)
-		defer stop()
-
-		gen := stream.Generator(stream.GeneratorConfig{
-			Steps: spec.Steps - startStep, StepElems: spec.Elems,
-			Seed: spec.Seed, StartStep: startStep,
-		})
-		src := stream.SourceFunc(func(fctx context.Context, push func(stream.Event) error) error {
-			return gen.Feed(fctx, func(ev stream.Event) error {
-				if err := drainRequested(ctx); err != nil {
-					return err
-				}
-				if err := push(ev); err != nil {
-					return err
-				}
-				step := int(done.Add(1))
-				emit(StreamRecord{Type: "step", Step: step - 1})
-				return nil
-			})
-		})
-
+	wire := func(steps stream.Source, emit func(StreamRecord), _ obs.TraceContext) (*stream.Pipeline, func(int64) (any, error)) {
 		var windows, panes atomic.Int64
 		p := stream.New().
-			From(src).
+			From(steps).
 			Window(ws).
 			Trigger(stream.Trigger{EarlyEmits: true}).
 			OnLate(pol).
@@ -328,12 +183,98 @@ func buildStanding(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgra
 				})
 				return nil
 			}))
-		mu.Lock()
-		if trace.Valid() {
-			if ts, ok := comb.(interface{ SetTraceContext(obs.TraceContext) }); ok {
-				ts.SetTraceContext(trace)
+		return p, func(steps int64) (any, error) {
+			res := map[string]any{
+				"kind": KindStanding, "windows": windows.Load(), "panes": panes.Load(),
+				"steps": steps,
 			}
+			if st := comb.Stats(); st != nil {
+				res["stats"] = statsView(st.Snapshot())
+			}
+			return res, nil
 		}
+	}
+	return pipelineProgram(comb, source, wire), nil
+}
+
+// pipelineProgram is the run skeleton of the jobs compiled onto a stream
+// pipeline. source returns the step stream from step start on; wire builds
+// the pipeline over the counted steps (emit forwards its records, tc is the
+// job's trace) and returns it with the function that shapes the result once
+// the pipeline drains. traced is the combiner the job's trace reaches. The
+// skeleton counts steps and streams a "step" record per step, stops at a
+// step boundary on drain, and checkpoints and restores the pipeline
+// snapshot.
+func pipelineProgram(traced schedCombiner,
+	source func(ctx context.Context, start int) (stream.Source, error),
+	wire func(steps stream.Source, emit func(StreamRecord), tc obs.TraceContext) (*stream.Pipeline, func(steps int64) (any, error)),
+) *Program {
+	var (
+		mu    sync.Mutex
+		skip  int
+		snap  *stream.Snapshot // restored state, applied at run start
+		pipe  *stream.Pipeline // live pipeline, for checkpointing
+		trace obs.TraceContext
+		done  atomic.Int64
+	)
+	prog := &Program{
+		setSkip:   func(n int) { mu.Lock(); skip = n; mu.Unlock() },
+		stepsDone: func() int { return int(done.Load()) },
+		setTrace: func(tc obs.TraceContext) {
+			mu.Lock()
+			trace = tc
+			mu.Unlock()
+			traced.SetTraceContext(tc)
+		},
+		checkpoint: func(path string) error {
+			mu.Lock()
+			p := pipe
+			mu.Unlock()
+			return writeSnapshotCheckpoint(path, p)
+		},
+		restore: func(path string) error {
+			s, err := readSnapshotCheckpoint(path)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			snap = s
+			mu.Unlock()
+			return nil
+		},
+	}
+	prog.run = func(ctx context.Context, emit func(StreamRecord)) (any, error) {
+		mu.Lock()
+		start, restored, tc := skip, snap, trace
+		mu.Unlock()
+		done.Store(int64(start))
+
+		// The drain shield lets an in-flight window combine finish; the
+		// source stops at the next step boundary, Run surfaces the drain
+		// cause with every open window intact, and the checkpoint snapshots
+		// exactly that state.
+		stepCtx, stop := drainShield(ctx)
+		defer stop()
+
+		src, err := source(ctx, start)
+		if err != nil {
+			return nil, err
+		}
+		counted := stream.SourceFunc(func(fctx context.Context, push func(stream.Event) error) error {
+			return src.Feed(fctx, func(ev stream.Event) error {
+				if err := drainRequested(ctx); err != nil {
+					return err
+				}
+				if err := push(ev); err != nil {
+					return err
+				}
+				step := int(done.Add(1))
+				emit(StreamRecord{Type: "step", Step: step - 1})
+				return nil
+			})
+		})
+		p, result := wire(counted, emit, tc)
+		mu.Lock()
 		pipe = p
 		mu.Unlock()
 		if restored != nil {
@@ -344,16 +285,7 @@ func buildStanding(spec JobSpec, mem *memmodel.Node, comm *mpi.Comm) (*jobProgra
 		if err := p.Run(stepCtx); err != nil {
 			return nil, err
 		}
-		res := map[string]any{
-			"kind": KindStanding, "windows": windows.Load(), "panes": panes.Load(),
-			"steps": done.Load(),
-		}
-		if sc, ok := comb.(interface{ Stats() *core.Stats }); ok {
-			if st := sc.Stats(); st != nil {
-				res["stats"] = statsView(st.Snapshot())
-			}
-		}
-		return res, nil
+		return result(done.Load())
 	}
-	return prog, nil
+	return prog
 }

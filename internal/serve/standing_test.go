@@ -226,19 +226,36 @@ func TestStandingRejectedInClusterMode(t *testing.T) {
 }
 
 // TestStandingBadSpecs: malformed standing specs fail at submission with
-// builder errors, never run-time failures.
+// builder errors, never run-time failures. The accept rows share the batch
+// bounds and run to done; a window wider than a step only has to fit the
+// fired query window.
 func TestStandingBadSpecs(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	for name, spec := range map[string]JobSpec{
-		"unknown kind":    {App: "histogram", Kind: "perpetual"},
-		"unsupported app": {App: "kmeans", Kind: KindStanding, Params: Params{K: 2, Dims: 2}},
-		"bad window kind": {App: "histogram", Kind: KindStanding, Params: Params{WindowKind: "hopping"}},
-		"bad slide":       {App: "histogram", Kind: KindStanding, Params: Params{WindowKind: "sliding", WindowSize: 4, WindowSlide: 8}},
-		"bad late":        {App: "histogram", Kind: KindStanding, Params: Params{Late: "buffer"}},
-		"negative late":   {App: "histogram", Kind: KindStanding, Params: Params{AllowedLateness: -1}},
+	for name, c := range map[string]struct {
+		spec JobSpec
+		ok   bool
+	}{
+		"unknown kind":      {JobSpec{App: "histogram", Kind: "perpetual"}, false},
+		"unsupported app":   {JobSpec{App: "kmeans", Kind: KindStanding, Params: Params{K: 2, Dims: 2}}, false},
+		"bad window kind":   {JobSpec{App: "histogram", Kind: KindStanding, Params: Params{WindowKind: "hopping"}}, false},
+		"bad slide":         {JobSpec{App: "histogram", Kind: KindStanding, Params: Params{WindowKind: "sliding", WindowSize: 4, WindowSlide: 8}}, false},
+		"bad late":          {JobSpec{App: "histogram", Kind: KindStanding, Params: Params{Late: "buffer"}}, false},
+		"negative late":     {JobSpec{App: "histogram", Kind: KindStanding, Params: Params{AllowedLateness: -1}}, false},
+		"too many buckets":  {JobSpec{App: "histogram", Kind: KindStanding, Params: Params{Buckets: maxElems + 1}}, false},
+		"even window":       {JobSpec{App: "movingavg", Kind: KindStanding, Params: Params{Window: 24}}, false},
+		"buckets > elems":   {JobSpec{App: "histogram", Kind: KindStanding, Steps: 2, Elems: 64, Params: Params{Buckets: 100}}, true},
+		"buckets > 65536":   {JobSpec{App: "histogram", Kind: KindStanding, Steps: 2, Elems: 64, Params: Params{Buckets: 65537}}, true},
+		"grid_size > elems": {JobSpec{App: "gridagg", Kind: KindStanding, Steps: 2, Elems: 64, Params: Params{GridSize: 1000}}, true},
+		"window > step":     {JobSpec{App: "movingavg", Kind: KindStanding, Steps: 2, Elems: 64, Params: Params{WindowSize: 2, Window: 101}}, true},
 	} {
-		if _, err := s.Submit(spec); err == nil {
+		j, err := s.Submit(c.spec)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: submit failed: %v", name, err)
+		case !c.ok && err == nil:
 			t.Errorf("%s: submit succeeded", name)
+		case c.ok:
+			waitStatus(t, j, StatusDone, 10*time.Second)
 		}
 	}
 }
