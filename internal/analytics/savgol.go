@@ -35,19 +35,29 @@ func NewSavitzkyGolay(size, order, total, base int, trigger bool) *SavitzkyGolay
 // savgolCoeffs computes the smoothing (0th-derivative) convolution weights
 // for a window of 2*half+1 points and the given polynomial order: the first
 // row of (AᵀA)⁻¹Aᵀ with A[j][p] = jᵖ.
+//
+// The normal matrix N[p][q] = Σ_j j^(p+q) depends only on p+q, so the
+// 2·order+1 power sums are computed once, in O(window·order), with
+// compensated summation (neumaierAdd): where every partial sum is exact —
+// small windows — that changes no bit, and at the largest windows it keeps
+// the weights accurate to ~1e-10 instead of ~1e-8 at order 15.
 func savgolCoeffs(half, order int) []float64 {
 	n := order + 1
-	// Normal matrix N[p][q] = Σ_j j^(p+q).
+	sums := make([]float64, 2*order+1)
+	comp := make([]float64, len(sums))
+	for j := -half; j <= half; j++ {
+		pw := 1.0
+		for k := range sums {
+			sums[k], comp[k] = neumaierAdd(sums[k], comp[k], pw)
+			pw *= float64(j)
+		}
+	}
+	for k := range sums {
+		sums[k] += comp[k]
+	}
 	N := make([][]float64, n)
 	for p := range N {
-		N[p] = make([]float64, n)
-		for q := range N[p] {
-			s := 0.0
-			for j := -half; j <= half; j++ {
-				s += math.Pow(float64(j), float64(p+q))
-			}
-			N[p][q] = s
-		}
+		N[p] = sums[p : p+n]
 	}
 	inv := invertMatrix(N)
 	coeffs := make([]float64, 2*half+1)
@@ -59,6 +69,16 @@ func savgolCoeffs(half, order int) []float64 {
 		coeffs[j+half] = w
 	}
 	return coeffs
+}
+
+// neumaierAdd adds x to the running sum s with compensation c (Neumaier's
+// variant of Kahan summation); the compensated total is s + c.
+func neumaierAdd(s, c, x float64) (float64, float64) {
+	t := s + x
+	if math.Abs(s) >= math.Abs(x) {
+		return t, c + ((s - t) + x)
+	}
+	return t, c + ((x - t) + s)
 }
 
 // invertMatrix inverts a small dense matrix by Gauss-Jordan elimination with

@@ -61,8 +61,8 @@ type arenaShard struct {
 // the shard-parallel phases stay lock-free. Per-shard state is independent:
 // concurrent calls are allowed as long as no two goroutines touch keys of the
 // same shard (the forShards discipline). Iteration order inside a shard is
-// insertion order, but the pipeline never depends on it: serialization sorts
-// keys and per-key phases are order-independent.
+// insertion order, but the pipeline never depends on it: serialization
+// radix-sorts keys and per-key phases are order-independent.
 type arenaStore struct {
 	shards []arenaShard
 	create func() RedObj
@@ -189,11 +189,7 @@ func (sh *arenaShard) rebuild() {
 		sh.keys, sh.objs = sh.keys[:w], sh.objs[:w]
 		sh.dead = 0
 	}
-	want := arenaMinTable
-	for want*arenaMaxLoadNum <= len(sh.keys)*4 {
-		want *= 2
-	}
-	if want <= len(sh.index) {
+	if want := tableFor(len(sh.keys)); want <= len(sh.index) {
 		clear(sh.index)
 	} else {
 		sh.index = make([]int32, want)
@@ -206,6 +202,35 @@ func (sh *arenaShard) rebuild() {
 			i = (i + 1) & mask
 		}
 		sh.index[i] = int32(slot + 1)
+	}
+}
+
+// tableFor is the index size for n live entries: the smallest power of two
+// (at least arenaMinTable) that holds them below the load factor.
+func tableFor(n int) int {
+	want := arenaMinTable
+	for want*arenaMaxLoadNum <= n*4 {
+		want *= 2
+	}
+	return want
+}
+
+// reserve sizes an empty store for counts[si] entries in shard si: each
+// shard's index, keys and objs arrays are allocated once at their final
+// size and, for FixedSizeObj applications, one slab holds exactly the
+// shard's objects — so filling the store allocates O(shards), not O(keys).
+func (a *arenaStore) reserve(counts []int) {
+	for si, n := range counts {
+		if n == 0 {
+			continue
+		}
+		sh := &a.shards[si]
+		sh.index = make([]int32, tableFor(n))
+		sh.keys = make([]int, 0, n)
+		sh.objs = make([]RedObj, 0, n)
+		if a.proto != nil {
+			sh.slab = a.proto.NewSlab(n)
+		}
 	}
 }
 

@@ -45,9 +45,11 @@ func (s *Scheduler[In, Out]) WriteCheckpointEnc(path string, enc codec.Encoding)
 	if !enc.Valid() {
 		return fmt.Errorf("core: checkpoint encoding: %w 0x%02x", codec.ErrUnknown, byte(enc))
 	}
-	// The checkpoint image is serialized into a pooled buffer: its lifetime
-	// ends when the file write below returns, so the buffer goes straight
-	// back to the pool for the next checkpoint or global-combine round.
+	// The checkpoint image is serialized into a pooled buffer right after
+	// the SMARTCK1 magic, so the raw format is written straight from it: the
+	// image is built once and never copied. Its lifetime ends when the file
+	// write below returns, so the buffer goes straight back to the pool for
+	// the next checkpoint or global-combine round.
 	bufp, reused := getEncBuf()
 	if reused {
 		s.met.encBufReuse.Add(1)
@@ -55,29 +57,23 @@ func (s *Scheduler[In, Out]) WriteCheckpointEnc(path string, enc codec.Encoding)
 	defer putEncBuf(bufp)
 	// appendStore only reads the store, which concurrent checkpoint writers
 	// to different paths rely on.
-	raw, err := appendStore((*bufp)[:0], s.store)
-	*bufp = raw
+	buf, err := appendStore(append(*bufp, checkpointMagic...), s.store)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint encode: %w", err)
 	}
-
-	buf := make([]byte, 0, len(checkpointMagic)+len(raw))
+	*bufp = buf
+	raw := buf[len(checkpointMagic):]
 	if enc != codec.None && len(raw) >= codec.MinSize {
 		framep := codec.GetScratch()
 		defer codec.PutScratch(framep)
-		frame, err := codec.AppendFrame((*framep)[:0], enc, raw)
+		frame, err := codec.AppendFrame(append((*framep)[:0], checkpointMagic2...), enc, raw)
 		if err != nil {
 			return fmt.Errorf("core: checkpoint compress: %w", err)
 		}
 		*framep = frame
-		if len(frame) < len(raw) {
-			buf = append(buf, checkpointMagic2...)
-			buf = append(buf, frame...)
+		if len(frame)-len(checkpointMagic2) < len(raw) {
+			buf = frame
 		}
-	}
-	if len(buf) == 0 {
-		buf = append(buf, checkpointMagic...)
-		buf = append(buf, raw...)
 	}
 	s.met.ckRawBytes.Add(int64(len(raw)))
 	s.met.ckEncodedBytes.Add(int64(len(buf) - len(checkpointMagic)))

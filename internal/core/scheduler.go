@@ -448,7 +448,7 @@ func (s *Scheduler[In, Out]) convert(out []Out) error {
 // harness measure the serialization cost Smart pays over a contiguous-buffer
 // Allreduce (Section 5.3) without running a live communicator.
 func (s *Scheduler[In, Out]) EncodeCombinationMap() ([]byte, error) {
-	return appendStore(make([]byte, 0, 16+32*s.store.size()), s.store)
+	return appendStore(nil, s.store)
 }
 
 // DecodeCombinationMap replaces the combination map with one decoded from
@@ -559,7 +559,7 @@ func (s *Scheduler[In, Out]) globalCombine() error {
 		return walkEntries(payload, func(k int, body []byte) error {
 			dst, ok := s.store.lookup(k)
 			if !ok {
-				obj := s.newObj()
+				obj := s.store.fresh(s.store.shardOf(k))
 				if err := obj.UnmarshalBinary(body); err != nil {
 					return fmt.Errorf("core: unmarshal reduction object for key %d: %w", k, err)
 				}
@@ -617,7 +617,7 @@ func (s *Scheduler[In, Out]) globalCombine() error {
 				}
 				return nil
 			}
-			obj := s.newObj()
+			obj := s.store.fresh(s.store.shardOf(k))
 			if err := obj.UnmarshalBinary(body); err != nil {
 				return fmt.Errorf("core: unmarshal reduction object for key %d: %w", k, err)
 			}

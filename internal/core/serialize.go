@@ -3,7 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -80,15 +81,69 @@ type storeEntry struct {
 	obj RedObj
 }
 
+// radixBits is the digit width of sortEntries: 2^11 counters stay in L1,
+// and the 18-bit key span of a 262,144-key grid takes two passes.
+const radixBits = 11
+
+// sortEntries sorts entries by ascending key in O(n) with an LSD radix sort
+// over each key's offset from the smallest, uint64(k) − uint64(min), which
+// orders exactly like k across the whole int64 range. The pass count
+// follows the key span: ⌈bits(max − min)/11⌉, two for a 262,144-key grid
+// and at most six for any key set.
+func sortEntries(ents []storeEntry) {
+	if len(ents) < 2 {
+		return
+	}
+	lo, hi := ents[0].k, ents[0].k
+	for _, e := range ents[1:] {
+		lo, hi = min(lo, e.k), max(hi, e.k)
+	}
+	width := bits.Len64(uint64(hi) - uint64(lo))
+	if width == 0 {
+		return
+	}
+	src, dst := ents, make([]storeEntry, len(ents))
+	var count [1 << radixBits]int
+	for shift := 0; shift < width; shift += radixBits {
+		digit := func(k int) uint64 { return (uint64(k) - uint64(lo)) >> shift & (1<<radixBits - 1) }
+		clear(count[:])
+		for _, e := range src {
+			count[digit(e.k)]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, e := range src {
+			d := digit(e.k)
+			dst[count[d]] = e
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ents[0] {
+		copy(ents, src)
+	}
+}
+
 // appendEntriesSorted sorts the collected entries by key and appends the
-// count | (key, len, payload)* frame.
+// count | (key, len, payload)* frame. The output grows once: every entry of
+// a FixedSizeObj store is as long as the first, so after the first entry
+// the rest of the frame is reserved in one step.
 func appendEntriesSorted(buf []byte, ents []storeEntry) ([]byte, error) {
-	sort.Slice(ents, func(i, j int) bool { return ents[i].k < ents[j].k })
+	sortEntries(ents)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ents)))
 	var err error
-	for _, e := range ents {
+	for i, e := range ents {
+		start := len(buf)
 		if buf, err = appendObj(buf, e.k, e.obj); err != nil {
 			return nil, err
+		}
+		if i == 0 {
+			if _, fixed := e.obj.(FixedSizeObj); fixed {
+				buf = slices.Grow(buf, (len(ents)-1)*(len(buf)-start))
+			}
 		}
 	}
 	return buf, nil
@@ -99,7 +154,7 @@ func appendEntriesSorted(buf []byte, ents []storeEntry) ([]byte, error) {
 // appending to buf. This is the serialization the paper charges to global
 // combination — the price of keeping reduction objects in a flexible map
 // rather than the contiguous arrays of a hand-written MPI_Allreduce
-// (Section 5.3). Every live key across every shard is re-sorted into one
+// (Section 5.3). Every live key across every shard is radix-sorted into one
 // ascending sequence, so the wire and checkpoint byte format is independent
 // of shard count and insertion order: checkpoints of the same state
 // round-trip bit-for-bit and global-combination payloads are reproducible
@@ -128,28 +183,34 @@ func appendShardOf(buf []byte, st *arenaStore, si int) ([]byte, error) {
 	return appendEntriesSorted(buf, ents)
 }
 
-// decodeStore reverses appendStore into a new store of nshards shards,
-// materializing objects with the factory. It returns no store for a corrupt
+// decodeStore reverses appendStore into a new store of nshards shards. A
+// first pass over the entry headers validates the framing and counts each
+// shard's entries, so a corrupt frame allocates nothing for its claimed
+// size and a valid one sizes every shard once (reserve); the second pass
+// unmarshals each payload into a fresh object — carved from the shard's one
+// slab for FixedSizeObj applications. It returns no store for a corrupt
 // frame, so callers swap in or merge from only a fully decoded one.
 func decodeStore(buf []byte, nshards int, factory func() RedObj) (*arenaStore, error) {
-	st := newArenaStore(nshards, factory)
-	if err := decodeEntries(buf, factory, st.insert); err != nil {
+	counts := make([]int, nshards)
+	if err := walkEntries(buf, func(k int, _ []byte) error {
+		counts[shardIndex(k, nshards)]++
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return st, nil
-}
-
-// decodeEntries walks a map frame, materializing each object with the
-// factory and handing it to sink.
-func decodeEntries(buf []byte, factory func() RedObj, sink func(k int, obj RedObj)) error {
-	return walkEntries(buf, func(k int, payload []byte) error {
-		obj := factory()
+	st := newArenaStore(nshards, factory)
+	st.reserve(counts)
+	if err := walkEntries(buf, func(k int, payload []byte) error {
+		obj := st.fresh(st.shardOf(k))
 		if err := obj.UnmarshalBinary(payload); err != nil {
 			return fmt.Errorf("core: unmarshal reduction object for key %d: %w", k, err)
 		}
-		sink(k, obj)
+		st.insert(k, obj)
 		return nil
-	})
+	}); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // walkEntries streams a map frame entry by entry without

@@ -385,15 +385,19 @@ func TestSchedulerArenaByteIdentical(t *testing.T) {
 
 // FuzzStoreRoundTrip drives the arena through a fuzzed operation sequence
 // beside a plain map model and requires identical observable state, then
-// checks the canonical encoding survives a decode/re-encode round trip.
+// checks the canonical encoding survives a decode/re-encode round trip. The
+// op byte's high five bits shift the key left by 0–62 bits, so key spans
+// reach every radix pass of sortEntries, up to the full int64 range.
 func FuzzStoreRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(3))
 	f.Add([]byte{0xff, 0x00, 0x41, 0x41, 0x10, 0x80, 7, 7, 7}, uint8(1))
 	f.Add(bytes.Repeat([]byte{5, 250, 17}, 40), uint8(8))
+	f.Add([]byte{0xf9, 0xfe, 0xf9, 0x01, 0x59, 0x7f, 0x2a, 0x80, 0x01, 0x05}, uint8(5))
 	f.Fuzz(func(t *testing.T, raw []byte, nsh uint8) {
 		var ops []storeOp
 		for i := 0; i+1 < len(raw); i += 2 {
-			ops = append(ops, storeOp{kind: int(raw[i] % 8), key: int(int8(raw[i+1])) * 3, n: int64(i)})
+			key := int(int64(int8(raw[i+1])) * 3 << (raw[i] >> 3 * 2))
+			ops = append(ops, storeOp{kind: int(raw[i] % 8), key: key, n: int64(i)})
 		}
 		st, model := newTestStore(int(nsh%8)+1), CombMap{}
 		applyStoreOps(st, model, ops)

@@ -46,7 +46,8 @@ type Params struct {
 	Hi float64 `json:"hi,omitempty"`
 	// Window is the window size of the four window-based applications.
 	Window int `json:"window,omitempty"`
-	// Order is the Savitzky–Golay polynomial order.
+	// Order is the Savitzky–Golay polynomial order, in [1, min(window−1,
+	// 15)]; the default is 2.
 	Order int `json:"order,omitempty"`
 	// GridSize is the grid-aggregation/moments cell size in elements.
 	GridSize int `json:"grid_size,omitempty"`
@@ -671,9 +672,18 @@ func compileKDE(p Params, n int) (kernel[float64], error) {
 	})
 }
 
+// maxSavGolOrder caps the Savitzky-Golay polynomial order. The weights come
+// from the normal equations, whose conditioning worsens with the order: up
+// to order 15 they sum to 1 and reproduce every polynomial of that degree to
+// 1.5e-10 or better (worst case window 17, over every odd window to 2001 and
+// sampled windows up to maxElems), while order 16 misses by 3e-9 at window
+// 19 and order 22 by 1e-6 at window 25 — a job above the cap would smooth
+// with wrong weights and still report success.
+const maxSavGolOrder = 15
+
 func compileSavGol(p Params, n int) (kernel[float64], error) {
 	return windowKernel(p, n, func(win int, c *checker) core.Analytics[float64, float64] {
-		if order := c.int("savgol order", p.Order, 2, win-1); c.err == nil {
+		if order := c.int("savgol order", p.Order, 2, min(win-1, maxSavGolOrder)); c.err == nil {
 			return analytics.NewSavitzkyGolay(win, order, n, 0, true)
 		}
 		return nil

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scipioneer/smart/internal/analytics"
 	"github.com/scipioneer/smart/internal/memmodel"
 	"github.com/scipioneer/smart/internal/mpi"
 	"github.com/scipioneer/smart/internal/obs"
@@ -88,10 +90,15 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{JobSpec{App: "logreg", Elems: 8, Params: Params{Dims: 8}}, false},
 		{JobSpec{App: "movingavg", Elems: 64, Params: Params{Window: 65}}, false},
 		{JobSpec{App: "movingavg", Params: Params{Window: 24}}, false},
+		{JobSpec{App: "savgol", Elems: 64, Params: Params{Order: maxSavGolOrder + 1}}, false},
+		{JobSpec{App: "savgol", Elems: 1024, Params: Params{Window: 801, Order: 400}}, false},
+		{JobSpec{App: "savgol", Elems: 1024, Params: Params{Window: 201, Order: 150}}, false},
+		{JobSpec{App: "savgol", Elems: 64, Params: Params{Window: 5, Order: 5}}, false},
 		{JobSpec{App: "histogram", Elems: 64, Params: Params{Buckets: 100}}, true},
 		{JobSpec{App: "gridagg", Elems: 64, Params: Params{GridSize: 1000}}, true},
 		{JobSpec{App: "moments", Elems: 64}, true},
 		{JobSpec{App: "pipeline-grid", Elems: 64, Params: Params{GridSize: 1000}}, true},
+		{JobSpec{App: "savgol", Elems: 64, Params: Params{Order: maxSavGolOrder}}, true},
 	} {
 		j, err := s.Submit(c.spec)
 		switch {
@@ -494,6 +501,65 @@ func TestHTTPEndToEnd(t *testing.T) {
 	for _, want := range []string{"histogram", "kmeans", "movingavg", "pipeline-grid"} {
 		if !strings.Contains(string(abody), fmt.Sprintf("%q", want)) {
 			t.Errorf("/v1/apps missing %s: %s", want, abody)
+		}
+	}
+}
+
+// TestSavGolWeightsAtAcceptedEdges: at every corner of the accepted
+// (window, order) region — the smallest window, the smallest window that
+// admits the order cap, the default window and the largest window maxElems
+// allows, each at order 1 and at its highest accepted order — the compiled
+// filter's weights sum to 1 and reproduce every monomial xᵏ, k ≤ order, over
+// x = j/half to 1e-9, so they reproduce any degree-order polynomial; the
+// next order up is rejected.
+func TestSavGolWeightsAtAcceptedEdges(t *testing.T) {
+	compile := func(win, order int) (*analytics.SavitzkyGolay, error) {
+		k, err := compileSavGol(Params{Window: win, Order: order}, maxElems)
+		if err != nil {
+			return nil, err
+		}
+		return k.app.(*analytics.SavitzkyGolay), nil
+	}
+	lowest := maxSavGolOrder + 1 // the smallest window admitting the cap
+	if lowest%2 == 0 {
+		lowest++
+	}
+	for _, win := range []int{3, lowest, 25, maxElems - 1} {
+		top := min(win-1, maxSavGolOrder)
+		if _, err := compile(win, top+1); err == nil {
+			t.Errorf("window %d: order %d accepted", win, top+1)
+		}
+		for _, order := range []int{1, top} {
+			app, err := compile(win, order)
+			if err != nil {
+				t.Fatalf("window %d order %d rejected: %v", win, order, err)
+			}
+			w, half := app.Coeffs(), win/2
+			// Compensated sums keep the check's own rounding far below the
+			// tolerance at 2^24 terms.
+			moments, comp := make([]float64, order+1), make([]float64, order+1)
+			for j, wj := range w {
+				x, term := float64(j-half)/float64(half), wj
+				for k, s := range moments {
+					sum := s + term
+					if math.Abs(s) >= math.Abs(term) {
+						comp[k] += (s - sum) + term
+					} else {
+						comp[k] += (term - sum) + s
+					}
+					moments[k] = sum
+					term *= x
+				}
+			}
+			for k := range moments {
+				want := 0.0
+				if k == 0 {
+					want = 1 // the weights sum to 1
+				}
+				if got := moments[k] + comp[k]; math.Abs(got-want) > 1e-9 {
+					t.Errorf("window %d order %d: Σ w_j x_j^%d = %.3g, want %v", win, order, k, got, want)
+				}
+			}
 		}
 	}
 }
